@@ -1,14 +1,17 @@
-"""Throughput benchmark: vectorized batch engine vs the scalar path.
+"""Throughput benchmark: onboarding through the fused search vs per cell.
 
-Measures the two workloads the multi-layer refactor targets:
+Measures two workloads:
 
 * **single-user** — one ``create_session`` (T+1 candidates generators);
-* **multi-user** — 50 users through ``create_sessions`` (one shared
-  executor, one bulk DB transaction) against the scalar per-user loop.
+* **multi-user** — 50 users through ``create_sessions`` (one fused
+  multi-cell search, one bulk DB transaction).
 
-Both engines are run on identical inputs and the candidate sets are
-asserted identical before any timing is reported, so the speedup is for
-bit-equal results.
+The baseline is the per-cell reference the test suite checks the fused
+path against (``tests/cell_reference.py``): every cell searched on its
+own with ``CandidateGenerator.generate``, the users written in one bulk
+transaction.  Both sides run on identical inputs and their store
+digests are asserted identical before any timing is reported, so the
+speedup is for bit-equal results.
 
 Run as a script (not via pytest)::
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -31,20 +35,15 @@ from repro.core import AdminConfig, JustInTime
 from repro.data import john_profile, lending_schema, make_lending_dataset
 from repro.temporal import lending_update_function
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from cell_reference import reference_create_sessions  # noqa: E402
 
-def build_system(schema, history, engine: str, n_jobs: int = 1) -> JustInTime:
+
+def build_system(schema, history) -> JustInTime:
     system = JustInTime(
         schema,
         lending_update_function(schema),
-        AdminConfig(
-            T=3,
-            strategy="last",
-            k=6,
-            max_iter=10,
-            random_state=0,
-            n_jobs=n_jobs,
-            engine=engine,
-        ),
+        AdminConfig(T=3, strategy="last", k=6, max_iter=10, random_state=0),
         domain_constraints=lending_domain_constraints(schema),
     )
     return system.fit(history)
@@ -62,68 +61,52 @@ def make_users(schema, n_users: int):
     ]
 
 
-def assert_equivalent(sessions_a, sessions_b) -> None:
-    assert len(sessions_a) == len(sessions_b)
-    for sa, sb in zip(sessions_a, sessions_b):
-        assert sa.user_id == sb.user_id
-        assert len(sa.candidates) == len(sb.candidates), sa.user_id
-        for ca, cb in zip(sa.candidates, sb.candidates):
-            assert ca.time == cb.time
-            assert np.array_equal(ca.x, cb.x)
-            assert ca.metrics == cb.metrics
+def bench_onboarding(schema, history, users) -> tuple[float, float]:
+    """``(per-cell seconds, fused seconds)`` to onboard ``users``; the
+    two stores' digests are asserted equal first."""
+    reference = build_system(schema, history)
+    reference_create_sessions(reference, users[:1])  # warm-up (thresholds cache)
+    start = time.perf_counter()
+    reference_create_sessions(reference, users)
+    per_cell = time.perf_counter() - start
+
+    system = build_system(schema, history)
+    system.create_sessions(users[:1])  # warm-up
+    start = time.perf_counter()
+    system.create_sessions(users)
+    fused = time.perf_counter() - start
+
+    assert system.store.contents_digest() == reference.store.contents_digest(), (
+        f"fused onboarding diverged from per-cell ({len(users)} users)"
+    )
+    return per_cell, fused
 
 
 def bench_single_user(schema, history) -> dict:
-    user_id, profile = make_users(schema, 1)[0]
-    results = {}
-    timings = {}
-    for engine in ("scalar", "batch"):
-        system = build_system(schema, history, engine)
-        system.create_session(user_id, profile)  # warm-up (thresholds cache)
-        start = time.perf_counter()
-        results[engine] = [system.create_session(user_id, profile)]
-        timings[engine] = time.perf_counter() - start
-    assert_equivalent(results["scalar"], results["batch"])
-    speedup = timings["scalar"] / timings["batch"]
+    per_cell, fused = bench_onboarding(schema, history, make_users(schema, 1))
+    speedup = per_cell / fused
     print(
-        f"single-user   scalar {timings['scalar'] * 1e3:8.1f} ms"
-        f"   batch {timings['batch'] * 1e3:8.1f} ms   speedup {speedup:5.2f}x"
+        f"single-user   per-cell {per_cell * 1e3:8.1f} ms"
+        f"   fused {fused * 1e3:8.1f} ms   speedup {speedup:5.2f}x"
     )
     return {
-        "single_scalar_s": timings["scalar"],
-        "single_batch_s": timings["batch"],
+        "single_per_cell_s": per_cell,
+        "single_fused_s": fused,
         "single_speedup": speedup,
     }
 
 
 def bench_multi_user(schema, history, n_users: int) -> dict:
-    users = make_users(schema, n_users)
-
-    scalar_system = build_system(schema, history, "scalar")
-    scalar_system.create_session(*users[0])  # warm-up
-    start = time.perf_counter()
-    scalar_sessions = [
-        scalar_system.create_session(uid, profile) for uid, profile in users
-    ]
-    scalar_elapsed = time.perf_counter() - start
-
-    batch_system = build_system(schema, history, "batch")
-    batch_system.create_session(*users[0])  # warm-up
-    start = time.perf_counter()
-    batch_sessions = batch_system.create_sessions(users)
-    batch_elapsed = time.perf_counter() - start
-
-    assert_equivalent(scalar_sessions, batch_sessions)
-    speedup = scalar_elapsed / batch_elapsed
-    per_user = batch_elapsed / n_users * 1e3
+    per_cell, fused = bench_onboarding(schema, history, make_users(schema, n_users))
+    speedup = per_cell / fused
     print(
-        f"{n_users:3d}-user      scalar {scalar_elapsed * 1e3:8.1f} ms"
-        f"   batch {batch_elapsed * 1e3:8.1f} ms   speedup {speedup:5.2f}x"
-        f"   ({per_user:.1f} ms/user batched)"
+        f"{n_users:3d}-user      per-cell {per_cell * 1e3:8.1f} ms"
+        f"   fused {fused * 1e3:8.1f} ms   speedup {speedup:5.2f}x"
+        f"   ({fused / n_users * 1e3:.1f} ms/user fused)"
     )
     return {
-        "multi_scalar_s": scalar_elapsed,
-        "multi_batch_s": batch_elapsed,
+        "multi_per_cell_s": per_cell,
+        "multi_fused_s": fused,
         "multi_speedup": speedup,
     }
 
@@ -149,17 +132,12 @@ def main() -> None:
     schema = lending_schema()
     history = make_lending_dataset(n_per_year=n_per_year, random_state=1)
     print(
-        f"batch-engine benchmark (users={n_users}, n_per_year={n_per_year})"
-        " — candidate sets verified identical before timing"
+        f"onboarding benchmark (users={n_users}, n_per_year={n_per_year})"
+        " — store digests verified identical before timing"
     )
     results = {"users": n_users, "n_per_year": n_per_year, "quick": args.quick}
     results.update(bench_single_user(schema, history))
     results.update(bench_multi_user(schema, history, n_users))
-    speedup = results["multi_speedup"]
-    if speedup < 3.0:
-        print(f"WARNING: multi-user speedup {speedup:.2f}x is below the 3x target")
-    else:
-        print(f"multi-user speedup target met: {speedup:.2f}x >= 3x")
     if args.json:
         path = Path(args.json)
         path.parent.mkdir(parents=True, exist_ok=True)

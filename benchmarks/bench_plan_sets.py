@@ -7,7 +7,7 @@ the benchmark is gated on identity **before** a single timer starts:
    ``plan_rank`` / ``plan_quality`` / ``plan_min_dist``) produces the
    same ``contents_digest`` on sqlite, memory and sharded backends, and
    the fused engine's batched cross-cell selection matches the per-cell
-   batch engine digest exactly.
+   reference digest (``tests/cell_reference.py``) exactly.
 2. **Legacy digest identity** — a store holding metadata-free rows (the
    pre-plan-set on-disk shape) digests byte-identically under the
    original formula, so historical digests stay comparable.
@@ -34,6 +34,7 @@ import argparse
 import hashlib
 import http.client
 import json
+import sys
 import tempfile
 import threading
 import time
@@ -56,32 +57,42 @@ from repro.db import CandidateStore
 from repro.serve import InsightServer, bundle_payload, dumps
 from repro.temporal import PerPeriodStrategy, lending_update_function
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from cell_reference import reference_create_sessions  # noqa: E402
+
 ALPHA = 0.8
 
 
-def build_system(tmp: Path, *, backend: str, engine: str, T: int,
-                 n_users: int, n_per_year: int, n_shards: int = 2) -> JustInTime:
+def build_system(tmp: Path, *, backend: str, T: int, n_users: int,
+                 n_per_year: int, n_shards: int = 2,
+                 per_cell: bool = False) -> JustInTime:
+    """A populated system; ``per_cell`` onboards its users through the
+    per-cell reference instead of ``create_sessions``."""
     tmp.mkdir(parents=True, exist_ok=True)
     schema = lending_schema()
     system = JustInTime(
         schema,
         lending_update_function(schema),
         AdminConfig(T=T, strategy=PerPeriodStrategy(), k=5, beam_width=6,
-                    max_iter=8, patience=3, random_state=0, engine=engine),
+                    max_iter=8, patience=3, random_state=0),
         domain_constraints=lending_domain_constraints(schema),
         store_path=":memory:" if backend == "memory"
-        else str(tmp / f"{backend}-{engine}.db"),
+        else str(tmp / f"{backend}.db"),
         store_backend=backend,
         n_shards=n_shards,
     )
     system.fit(make_lending_dataset(n_per_year=n_per_year, random_state=1))
     rng = np.random.default_rng(7)
     base = schema.vector(john_profile())
-    system.create_sessions([
+    users = [
         (f"user-{i:03d}",
          schema.clip(base * rng.uniform(0.8, 1.2, size=base.size)))
         for i in range(n_users)
-    ])
+    ]
+    if per_cell:
+        reference_create_sessions(system, users)
+    else:
+        system.create_sessions(users)
     return system
 
 
@@ -90,18 +101,19 @@ def build_system(tmp: Path, *, backend: str, engine: str, T: int,
 
 def assert_digest_identity(tmp: Path, T: int, n_users: int,
                            n_per_year: int) -> str:
-    """Gate 1: one digest across backends AND across engines."""
+    """Gate 1: one digest across backends AND against the per-cell
+    reference."""
     digests = {}
-    for backend, engine in (
-        ("sqlite", "batch"),
-        ("memory", "batch"),
-        ("sharded", "batch"),
-        ("sqlite", "fused"),
+    for backend, per_cell in (
+        ("sqlite", False),
+        ("memory", False),
+        ("sharded", False),
+        ("sqlite", True),
     ):
-        system = build_system(tmp / f"dig-{backend}-{engine}", backend=backend,
-                              engine=engine, T=T, n_users=n_users,
-                              n_per_year=n_per_year)
-        digests[(backend, engine)] = system.store.contents_digest()
+        system = build_system(tmp / f"dig-{backend}-{per_cell}", backend=backend,
+                              T=T, n_users=n_users, n_per_year=n_per_year,
+                              per_cell=per_cell)
+        digests[(backend, per_cell)] = system.store.contents_digest()
         system.store.close()
     assert len(set(digests.values())) == 1, (
         f"plan-set stores digest differently: {digests}"
@@ -356,13 +368,13 @@ def main() -> None:
     # ---- identity gates, before any timing ------------------------------
     digest = assert_digest_identity(tmp, T, n_users, n_per_year)
     print("verified: contents_digest identical on sqlite/memory/sharded"
-          f" and batch-vs-fused engines ({digest[:12]}…)")
+          f" and against the per-cell reference ({digest[:12]}…)")
     assert_legacy_digest_identity()
     print("verified: metadata-free rows digest under the pre-plan-set"
           " formula")
 
-    system = build_system(tmp / "serve", backend="sharded", engine="batch",
-                          T=T, n_users=n_users, n_per_year=n_per_year)
+    system = build_system(tmp / "serve", backend="sharded", T=T,
+                          n_users=n_users, n_per_year=n_per_year)
     users = [f"user-{i:03d}" for i in range(n_users)]
     feature = default_feature(system.schema)
     server = InsightServer(system.store, system.time_values,

@@ -301,15 +301,6 @@ def _runtime_parents() -> dict[str, argparse.ArgumentParser]:
         action="store_true",
         help="disable warm-start (bit-identical to a cold recompute)",
     )
-    engine = argparse.ArgumentParser(add_help=False)
-    engine.add_argument(
-        "--engine",
-        default=None,
-        choices=["batch", "scalar", "fused"],
-        help="candidate-search engine for the refresh; 'fused' recomputes"
-        " the stale cells in one cross-cell vectorized pass"
-        " (byte-identical candidates either way)",
-    )
     worker = argparse.ArgumentParser(add_help=False)
     worker.add_argument(
         "--workers", type=int, default=2, help="worker process count"
@@ -396,7 +387,6 @@ def _runtime_parents() -> dict[str, argparse.ArgumentParser]:
     )
     return {
         "warm": warm,
-        "engine": engine,
         "worker": worker,
         "stream": stream,
         "budget": budget,
@@ -436,9 +426,8 @@ def make_parser() -> argparse.ArgumentParser:
         help="candidate store backend (default: inferred from --db)",
     )
     parents = _runtime_parents()
-    warm, engine = parents["warm"], parents["engine"]
-    worker, stream, budget = (
-        parents["worker"], parents["stream"], parents["budget"]
+    warm, worker, stream, budget = (
+        parents["warm"], parents["worker"], parents["stream"], parents["budget"]
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("demo", help="five denied applicants, scripted (§III)")
@@ -452,7 +441,7 @@ def make_parser() -> argparse.ArgumentParser:
         "refresh",
         help="re-forecast on new data and recompute only the stale"
         " (user × time-point) cells of the stored sessions",
-        parents=[warm, engine, budget],
+        parents=[warm, budget],
     )
     refresh.add_argument(
         "--new-n", type=int, default=120, help="new samples to ingest"
@@ -473,7 +462,7 @@ def make_parser() -> argparse.ArgumentParser:
         "refresh-workers",
         help="refit on new data, then drain the stale cells with N"
         " lease-coordinated worker processes",
-        parents=[worker, warm, engine, budget],
+        parents=[worker, warm, budget],
     )
     workers.add_argument(
         "--new-n",
@@ -504,7 +493,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="the unified continuous-refresh service: tail a feed, refit"
         " on drift/cadence epochs, drain each epoch with a worker pool,"
         " checkpoint atomically for kill-safe resume",
-        parents=[stream, worker, warm, engine, budget],
+        parents=[stream, worker, warm, budget],
     )
     orchestrator.add_argument(
         "--gate-mode",
@@ -680,16 +669,10 @@ def run_refresh(args, out: IO[str] | None = None) -> int:
     if system is None:
         return 2
     resumed = system.resume_sessions()
-    saved_engine = getattr(system.config, "engine", "batch")
-    if getattr(args, "engine", None):
-        system.config.engine = args.engine
     new_data, at = _sample_new_arrivals(system, args)
     report = system.refresh(
         new_data, warm_start=not args.cold, budget=args.budget
     )
-    # the --engine override is per-run: restore the admin-chosen engine
-    # before persisting (candidates are byte-identical either way)
-    system.config.engine = saved_engine
     # persist the refit models + merged history: the next refresh must
     # start from this state, and stored model_fp stamps must keep
     # matching a system that exists on disk
@@ -922,7 +905,6 @@ def run_refresh_workers(args, out: IO[str] | None = None) -> int:
         claim_batch=args.claim_batch,
         lease_seconds=args.lease_seconds,
         shard_affinity=args.shard_affinity,
-        engine=getattr(args, "engine", None),
     )
     per_worker = ", ".join(
         f"{w.worker_id}: {len(w.cells)}" for w in report.workers
@@ -1034,7 +1016,6 @@ def run_refresh_orchestrator(args, out: IO[str] | None = None) -> int:
         claim_batch=args.claim_batch,
         lease_seconds=args.lease_seconds,
         shard_affinity=args.shard_affinity,
-        engine=getattr(args, "engine", None),
         budget=args.budget,
         sla_epochs=args.sla_epochs,
         priority_halflife=args.priority_halflife,

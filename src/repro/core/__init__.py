@@ -5,7 +5,6 @@ from repro.core.candidates import (
     CandidateGenerator,
     SearchStats,
     brute_force_tree_candidates,
-    engine_names,
     search_counter_totals,
 )
 from repro.core.diversity import (
@@ -92,7 +91,6 @@ __all__ = [
     "brute_force_tree_candidates",
     "build_plan",
     "drain_stale_cells",
-    "engine_names",
     "search_counter_totals",
     "load_system",
     "save_system",

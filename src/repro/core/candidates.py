@@ -50,9 +50,6 @@ __all__ = [
     "Candidate",
     "SearchStats",
     "CandidateGenerator",
-    "ENGINES",
-    "register_engine",
-    "engine_names",
     "search_counter_totals",
     "brute_force_tree_candidates",
 ]
@@ -61,28 +58,6 @@ __all__ = [
 _BOUNDARY_WEIGHT = 10.0
 #: Per-violated-constraint penalty in the beam heuristic.
 _VIOLATION_PENALTY = 5.0
-
-#: Registry of candidate-search engines (the enum-registration idiom):
-#: name → one-line description.  ``CandidateGenerator`` implements the
-#: per-cell ``'batch'``/``'scalar'`` pair; cross-cell engines — the fused
-#: multi-cell drain in :mod:`repro.core.fused` — register here so that
-#: ``AdminConfig`` validates ``engine=`` eagerly without importing them.
-ENGINES: dict[str, str] = {}
-
-
-def register_engine(name: str, description: str) -> None:
-    """Register a candidate-search engine name for config validation."""
-    ENGINES[str(name)] = str(description)
-
-
-def engine_names() -> list[str]:
-    """Sorted names of all registered engines."""
-    return sorted(ENGINES)
-
-
-register_engine("batch", "per-cell vectorized beam search (default)")
-register_engine("scalar", "row-at-a-time reference path")
-
 
 @dataclass(frozen=True)
 class Candidate:
@@ -137,13 +112,14 @@ class SearchStats:
     converged: bool = False
     best_key_history: list[float] = field(default_factory=list)
     #: proposals dropped by the rounded-row visited-set dedupe before any
-    #: model/constraint evaluation (counted by every engine)
+    #: model/constraint evaluation
     dedupe_hits: int = 0
-    #: rows whose decision score was served from the epoch-level
-    #: cross-cell proposal cache (fused engine only; 0 elsewhere)
+    #: rows whose decision score was served from the fused engine's
+    #: epoch-level cross-cell proposal cache (0 for a single-cell
+    #: :meth:`CandidateGenerator.generate`)
     cache_hits: int = 0
-    #: rows the epoch cache had to score through the model (fused engine
-    #: only; 0 elsewhere)
+    #: rows the epoch cache had to score through the model (0 for a
+    #: single-cell :meth:`CandidateGenerator.generate`)
     cache_misses: int = 0
 
 
@@ -175,8 +151,8 @@ def search_counter_totals(stats_iter) -> dict[str, int]:
 class _BeamState:
     """Mutable state of one cell's batched beam search.
 
-    Owned by :meth:`CandidateGenerator._generate_batch` and shared with
-    the fused multi-cell engine, which holds one per active cell and
+    Owned by :meth:`CandidateGenerator.generate` and shared with the
+    fused multi-cell engine, which holds one per active cell and
     advances them in lock-stepped rounds (cells drop out of the round
     set as ``done`` flips).
     """
@@ -224,17 +200,6 @@ class CandidateGenerator:
         Move proposers; defaults to capability-matched ones.
     random_state:
         Seeds the random exploration moves.
-    engine:
-        ``'batch'`` (default) evaluates every iteration's proposals as
-        stacked arrays — vectorized constraints, metrics and ranking;
-        ``'scalar'`` is the original row-at-a-time reference path.  Both
-        return bit-identical candidates for the same seed.  Caveat: the
-        batch loop calls each proposer once per iteration (over all beam
-        states) while the scalar loop interleaves proposers per state,
-        so with *custom* proposer lists in which more than one proposer
-        consumes the RNG, the draw order — and hence the random moves —
-        can differ between engines.  The default proposers have exactly
-        one RNG consumer, where both orders coincide.
     """
 
     def __init__(
@@ -252,7 +217,6 @@ class CandidateGenerator:
         diff_scale=None,
         proposers: list[MoveProposer] | None = None,
         random_state: int | None = 0,
-        engine: str = "batch",
     ):
         if k < 1:
             raise CandidateSearchError("k must be >= 1")
@@ -285,11 +249,6 @@ class CandidateGenerator:
         self.objective = get_objective(objective)
         self.proposers = proposers if proposers is not None else default_proposers(model)
         self.random_state = random_state
-        if engine not in ("batch", "scalar"):
-            raise CandidateSearchError(
-                f"engine must be 'batch' or 'scalar', got {engine!r}"
-            )
-        self.engine = engine
         self.last_stats_: SearchStats | None = None
 
     # ------------------------------------------------------------ internals
@@ -357,7 +316,7 @@ class CandidateGenerator:
     ):
         """Shared search setup: clip the input, seed the RNG, and pool
         the unmodified input if it already flips (the paper's Q1, "no
-        modification").  ``key_fn`` is the engine's state-key function.
+        modification").  ``key_fn`` is the search loop's state-key function.
 
         ``warm_start`` is an optional ``(n, d)`` array (or list of
         vectors) of previously found candidates for this cell; each is
@@ -372,8 +331,8 @@ class CandidateGenerator:
         :meth:`_prologue_rows`) instead of calling the model here — the
         fused engine scores the prologue rows of many cells in one
         grouped, cache-served call.  The injected values must equal what
-        the model would return row-by-row (true for per-row-deterministic
-        scorers such as the tree ensembles).
+        the model would return row-by-row — true for every supported
+        scorer (``tests/test_row_determinism.py``).
         """
         x_base = self.schema.clip(np.asarray(x_base, dtype=float).ravel())
         rng = np.random.default_rng(self.random_state)
@@ -438,21 +397,55 @@ class CandidateGenerator:
         """Return up to ``k`` diverse decision-altering candidates.
 
         ``x_base`` is the temporal input ``f(x, t)`` for this generator's
-        time point; diff/gap are measured against it.  Dispatches to the
-        vectorized batch engine unless ``engine='scalar'`` was requested.
-        ``warm_start`` optionally seeds the beam from previously stored
-        candidates (see :meth:`_prologue`); the incremental refresh uses
-        it to resume the search near the old optimum instead of from the
-        profile.
+        time point; diff/gap are measured against it.  ``warm_start``
+        optionally seeds the beam from previously stored candidates (see
+        :meth:`_prologue`); the incremental refresh uses it to resume the
+        search near the old optimum instead of from the profile.
+
+        One iteration is: stack all proposals of the beam into an
+        ``(m, d)`` matrix, dedupe by rounded-row byte keys, then compute
+        scores, metrics, constraint-violation counts and beam keys as
+        single array operations.  Every floating-point reduction matches
+        the row-at-a-time :meth:`_generate_scalar`'s op order, and
+        ranking uses a *stable* top-k, so the candidates are
+        bit-identical to it for the same seed.
+
+        The loop body is factored into :meth:`_propose_step`,
+        :meth:`_dedupe_step` and :meth:`_absorb_step` over a
+        :class:`_BeamState`; the fused multi-cell engine
+        (:mod:`repro.core.fused`) drives the same steps across many
+        cells at once, with only the model-scoring call between them
+        swapped for the grouped, cache-served variant.
         """
-        if self.engine == "batch":
-            return self._generate_batch(x_base, time, warm_start)
-        return self._generate_scalar(x_base, time, warm_start)
+        state = self._begin_batch(x_base, time, warm_start)
+        for _ in range(self.max_iter):
+            state.stats.iterations += 1
+            pair = self._dedupe_step(state, self._propose_step(state))
+            if pair is None:
+                break
+            fresh, fresh_keys = pair
+            scores = np.asarray(
+                self.model.decision_score(fresh), dtype=float
+            ).ravel()
+            self._absorb_step(state, fresh, fresh_keys, scores)
+            if state.done:
+                break
+        self.last_stats_ = state.stats
+        return self._finalise(state.pool)
 
     def _generate_scalar(
         self, x_base, time: int = 0, warm_start=None
     ) -> list[Candidate]:
-        """Row-at-a-time reference implementation (the pre-batch path)."""
+        """Row-at-a-time reference implementation of :meth:`generate`.
+
+        No option selects it: tests check the vectorized kernel against
+        it.  Caveat: :meth:`generate` calls each proposer once per
+        iteration (over all beam states) while this loop interleaves
+        proposers per state, so with *custom* proposer lists in which
+        more than one proposer consumes the RNG, the draw order — and
+        hence the random moves — can differ.  The default proposers have
+        exactly one RNG consumer, where both orders coincide.
+        """
         x_base, rng, stats, pool, visited, best_key, beam = self._prologue(
             x_base, time, self._state_key, warm_start
         )
@@ -508,42 +501,6 @@ class CandidateGenerator:
                     break
         self.last_stats_ = stats
         return self._finalise(pool)
-
-    def _generate_batch(
-        self, x_base, time: int = 0, warm_start=None
-    ) -> list[Candidate]:
-        """Array-native search loop.
-
-        One iteration is: stack all proposals of the beam into an
-        ``(m, d)`` matrix, dedupe by rounded-row byte keys, then compute
-        scores, metrics, constraint-violation counts and beam keys as
-        single array operations.  Every floating-point reduction matches
-        the scalar path's op order, and ranking uses a *stable* top-k, so
-        the returned candidates are bit-identical to
-        :meth:`_generate_scalar` for the same seed.
-
-        The loop body is factored into :meth:`_propose_step`,
-        :meth:`_dedupe_step` and :meth:`_absorb_step` over a
-        :class:`_BeamState`; the fused multi-cell engine
-        (:mod:`repro.core.fused`) drives the same steps across many
-        cells at once, with only the model-scoring call between them
-        swapped for the grouped, cache-served variant.
-        """
-        state = self._begin_batch(x_base, time, warm_start)
-        for _ in range(self.max_iter):
-            state.stats.iterations += 1
-            pair = self._dedupe_step(state, self._propose_step(state))
-            if pair is None:
-                break
-            fresh, fresh_keys = pair
-            scores = np.asarray(
-                self.model.decision_score(fresh), dtype=float
-            ).ravel()
-            self._absorb_step(state, fresh, fresh_keys, scores)
-            if state.done:
-                break
-        self.last_stats_ = state.stats
-        return self._finalise(state.pool)
 
     # ------------------------------------------------- batched step kernel
 

@@ -1,10 +1,12 @@
-"""Fused multi-cell beam engine: one cross-cell vectorized drain.
+"""Fused multi-cell beam engine: the system's one search path.
 
-:meth:`JustInTime.refresh` and the lease-coordinated workers both drain
-stale (user × time-point) cells one at a time — the batch engine of
-:class:`~repro.core.candidates.CandidateGenerator` vectorizes *within* a
-cell, but every cell still pays its own model calls, proposal
-construction and Python loop overhead.  In the paper's
+Every (user × time-point) cell the system computes — onboarding in
+:meth:`JustInTime.create_sessions`, recomputes in
+:meth:`JustInTime.refresh` and in the lease-coordinated worker drain —
+goes through :func:`generate_fused`.  A single cell's
+:meth:`~repro.core.candidates.CandidateGenerator.generate` vectorizes
+*within* the cell, but every cell run that way pays its own model
+calls, proposal construction and Python loop overhead.  In the paper's
 many-users-few-features regime those per-cell costs dominate, and they
 are massively redundant: every cell of a time point shares the same
 model, the same split thresholds, the same per-t RNG seed, and (for
@@ -42,17 +44,18 @@ Bit-identity contract
 ---------------------
 The fused engine reorders *which batches* rows are scored in, never the
 per-row arithmetic: it drives the exact
-``_propose_step → _dedupe_step → _absorb_step`` kernel of the per-cell
-batch engine.  For per-row-deterministic scorers (the tree ensembles:
-flat-array descent plus a fixed-order tree sum, invariant to batch
-composition) the results — candidates, stats histories, store digests —
-are byte-identical to per-cell generation.  Scorers whose batched
-predictions depend on the batch's shape (e.g. BLAS-backed linear
-algebra) may differ in the last ulp; keep those on the per-cell engine.
+``_propose_step → _dedupe_step → _absorb_step`` kernel of
+:meth:`CandidateGenerator.generate`.  A row's decision score must
+therefore not depend on the batch it is scored in; every model class
+the system supports meets that contract, which
+``tests/test_row_determinism.py`` pins bit for bit.  Under it the
+results — candidates, stats histories, store digests — are
+byte-identical to generating each cell on its own.
 
-The per-cell batch path remains untouched as the bit-identity reference;
-``tests/test_fused_engine.py`` asserts ``contents_digest()`` equality on
-every store backend before the bench times anything.
+``CandidateGenerator.generate`` stays the single-cell API and the
+reference: ``tests/test_fused_engine.py`` asserts ``contents_digest()``
+equality with a per-cell recompute on every store backend, and the
+benches assert it before they time anything.
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ from repro.core.candidates import (
     Candidate,
     CandidateGenerator,
     SearchStats,
-    register_engine,
     search_counter_totals,
 )
 from repro.core.diversity import select_diverse_batch
@@ -77,12 +79,6 @@ __all__ = [
     "FusedReport",
     "generate_fused",
 ]
-
-register_engine(
-    "fused",
-    "cross-cell fused drain with an epoch-level proposal score cache",
-)
-
 
 @dataclass
 class EpochProposalCache:
@@ -170,11 +166,11 @@ class EpochProposalCache:
 class FusedCell:
     """One (user × time-point) cell submitted to the fused engine.
 
-    ``cell_id`` is the caller's handle (unique per call — typically
-    ``(user_id, t)``); ``generator`` is the cell's fully configured
-    :class:`CandidateGenerator` (its ``engine`` setting is ignored — the
-    fused loop drives the batch kernel directly).  ``model_fp`` keys the
-    epoch cache; ``None`` disables caching for the cell's rows.
+    ``cell_id`` is the caller's handle (unique per call — the system
+    uses ``(user_id, t)``); ``generator`` is the cell's fully configured
+    :class:`CandidateGenerator`, whose step kernel the fused loop drives
+    directly.  ``model_fp`` keys the epoch cache; ``None`` disables
+    caching for the cell's rows.
 
     ``constraints_key`` declares the identity of the cell's constraints
     for *cell-level* dedup: two cells with equal keys (and equal base /

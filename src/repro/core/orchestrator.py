@@ -16,8 +16,9 @@ process that runs the whole continuous-refresh loop:
 3. durably **checkpoint**: the refit models, the merged history and the
    feed cursor go into one atomic ``save_system`` write;
 4. dispatch :func:`~repro.core.worker.run_worker_pool` — N worker
-   processes drain the ledger under leases — and checkpoint again with
-   the resulting store digest.
+   processes drain the ledger under leases, each claim batch in one
+   fused multi-cell search — and checkpoint again with the resulting
+   store digest.
 
 The two checkpoints bracket the drain, which is what makes a killed
 orchestrator resumable **without re-ingesting or double-computing**:
@@ -133,10 +134,8 @@ class RefreshOrchestrator:
         Forwarded to the underlying
         :class:`~repro.core.scheduler.RefreshScheduler`.
     n_workers / db_backend / claim_batch / lease_seconds /
-    shard_affinity / engine / start_method:
+    shard_affinity / start_method:
         Forwarded to :func:`~repro.core.worker.run_worker_pool`;
-        ``engine='fused'`` makes every worker drain its claim batches
-        through the cross-cell fused engine (digest-identical);
         ``shard_affinity=True`` pins worker *i* to shard ``i %
         n_shards`` so each epoch's drain exploits the store's per-shard
         parallel write path (digest-identical either way).
@@ -208,7 +207,6 @@ class RefreshOrchestrator:
         claim_batch: int = 2,
         lease_seconds: float = 30.0,
         shard_affinity: bool = False,
-        engine: str | None = None,
         start_method: str | None = None,
         budget: int | None = None,
         sla_epochs: int | None = None,
@@ -244,7 +242,6 @@ class RefreshOrchestrator:
         self.claim_batch = int(claim_batch)
         self.lease_seconds = float(lease_seconds)
         self.shard_affinity = bool(shard_affinity)
-        self.engine = engine
         self.start_method = start_method
         self.checkpoint_digest = bool(checkpoint_digest)
         #: optional ``callable(cells)`` invoked after each drain with the
@@ -516,7 +513,6 @@ class RefreshOrchestrator:
             claim_batch=self.claim_batch,
             lease_seconds=self.lease_seconds,
             shard_affinity=self.shard_affinity,
-            engine=self.engine,
             start_method=self.start_method,
             stats_store=self.system.store if track else None,
             fingerprints=self.system.model_fingerprints if track else None,

@@ -10,8 +10,9 @@ Wires the full architecture together:
 * :meth:`JustInTime.create_session` registers a user profile plus
   preference constraints, projects the profile through the temporal
   update function, runs one candidates generator per time point (they are
-  independent; here they run sequentially and deterministically), and
-  stores temporal inputs and candidates in the relational store;
+  independent, so the fused engine of :mod:`repro.core.fused` advances
+  them together, deterministically), and stores temporal inputs and
+  candidates in the relational store;
 * :meth:`JustInTime.refresh` keeps the service *alive*: as new
   timestamped data arrives the models are re-forecast, the per-time-point
   content fingerprints are diffed, and only the stale (user × time-point)
@@ -32,10 +33,8 @@ import numpy as np
 from repro.constraints.domain import schema_domain_constraints
 from repro.constraints.evaluate import ConstraintsFunction
 from repro.core.candidates import (
-    ENGINES,
     Candidate,
     CandidateGenerator,
-    engine_names,
     search_counter_totals,
 )
 from repro.core.fused import FusedCell, generate_fused
@@ -80,16 +79,6 @@ class AdminConfig:
     patience: int = 3
     objective: str | Objective = "balanced"
     random_state: int = 0
-    #: candidates generators per (user, time point) are independent
-    #: (§II.B: "they can be executed in parallel"); n_jobs > 1 runs them
-    #: on one shared thread pool.  Results are identical to sequential
-    #: execution (per-t seeds).
-    n_jobs: int = 1
-    #: candidate-search engine: 'batch' (per-cell vectorized), 'scalar'
-    #: (row-at-a-time reference) or 'fused' (cross-cell vectorized drain
-    #: with an epoch-level proposal cache, :mod:`repro.core.fused`); all
-    #: produce identical candidates.
-    engine: str = "batch"
     #: seed refreshed cells' beams from the previously stored candidates
     #: (clipped + revalidated under the new model).  A robustness
     #: feature, not a speed one: still-valid old candidates can never be
@@ -113,11 +102,6 @@ class AdminConfig:
     def __post_init__(self) -> None:
         """Eager validation: fail at configuration time, not deep inside
         the search, and name the allowed values."""
-        if isinstance(self.engine, str) and self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r};"
-                f" allowed values: {engine_names()}"
-            )
         if isinstance(self.strategy, str) and self.strategy not in STRATEGY_NAMES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r};"
@@ -194,7 +178,8 @@ class JustInTime:
         :class:`~repro.db.backends.StoreBackend` instance; ``None`` infers
         from ``store_path``.
     n_shards:
-        Shard count for the sharded backend.
+        Shard count for the sharded backend; ``None`` uses the on-disk
+        count, or 4 for a new store.
     """
 
     def __init__(
@@ -205,7 +190,7 @@ class JustInTime:
         domain_constraints: ConstraintsFunction | None = None,
         store_path: str | Path = ":memory:",
         store_backend: str | StoreBackend | None = None,
-        n_shards: int = 4,
+        n_shards: int | None = None,
     ):
         self.schema = schema
         self.update_function = update_function
@@ -308,11 +293,10 @@ class JustInTime:
         ``users`` is an iterable of ``(user_id, profile)`` or
         ``(user_id, profile, user_constraints)`` tuples (or dicts with
         those keys).  All (user × time-point) candidates generators are
-        independent, so they are scheduled as one flat task list on a
-        single shared executor (``AdminConfig.n_jobs`` workers) instead
-        of a pool per user, and all database rows are written in one
-        transaction.  Candidates are identical to calling
-        :meth:`create_session` per user, in order.
+        independent (§II.B), so every cell of the batch runs in one
+        :func:`~repro.core.fused.generate_fused` call, and all database
+        rows are written in one transaction.  Candidates are identical
+        to calling :meth:`create_session` per user, in order.
         """
         self._require_fitted()
         cfg = self.config
@@ -330,60 +314,30 @@ class JustInTime:
                 x,
                 self.update_function.trajectory(x, cfg.T),
                 self._join_constraints(user_constraints),
+                self._constraint_texts(user_constraints),
             )
             for user_id, x, user_constraints in specs
         ]
-
-        def run_one(task):
-            user_index, future_model = task
-            _, _, trajectory, constraints = prepared[user_index]
-            t = future_model.t
-            generator = self._cell_generator(t, constraints)
-            return generator.generate(trajectory[t], time=t), generator.last_stats_
-
-        tasks = [
-            (user_index, future_model)
-            for user_index in range(len(prepared))
-            for future_model in self.future_models
-        ]
-        if getattr(cfg, "engine", "batch") == "fused":
-            fingerprints = self.model_fingerprints
-            fused_cells = [
-                FusedCell(
-                    cell_id=(user_index, future_model.t),
-                    t=future_model.t,
-                    x_base=prepared[user_index][2][future_model.t],
-                    generator=self._cell_generator(
-                        future_model.t, prepared[user_index][3]
-                    ),
-                    model_fp=fingerprints.get(future_model.t) or None,
-                    constraints_key=self._constraints_cache_key(
-                        self._constraint_texts(specs[user_index][2])
-                    ),
-                )
-                for user_index, future_model in tasks
-            ]
-            outcome, _fused_report = generate_fused(fused_cells)
-            results = [
-                outcome[(user_index, future_model.t)]
-                for user_index, future_model in tasks
-            ]
-        else:
-            results = self._run_tasks(run_one, tasks)
+        times = range(len(self.future_models))
+        outcome, _ = generate_fused(
+            self._fused_cell(
+                user_id,
+                t,
+                trajectory[t],
+                constraints,
+                self._constraints_cache_key(texts),
+            )
+            for user_id, _, trajectory, constraints, texts in prepared
+            for t in times
+        )
 
         sessions: list[UserSession] = []
-        per_user = len(self.future_models)
         bulk_rows = []
         spec_rows = []
-        for user_index, (user_id, x, trajectory, constraints) in enumerate(prepared):
-            user_results = results[user_index * per_user : (user_index + 1) * per_user]
-            all_candidates: list[Candidate] = []
-            stats = []
-            for found, search_stats in user_results:
-                stats.append(search_stats)
-                all_candidates.extend(found)
+        for user_id, x, trajectory, constraints, texts in prepared:
+            results = [outcome[(user_id, t)] for t in times]
+            all_candidates = [c for found, _ in results for c in found]
             bulk_rows.append((user_id, trajectory, all_candidates))
-            texts = self._constraint_texts(specs[user_index][2])
             spec_rows.append((user_id, x, texts))
             session = UserSession(
                 system=self,
@@ -392,7 +346,7 @@ class JustInTime:
                 trajectory=trajectory,
                 constraints=constraints,
                 candidates=all_candidates,
-                search_stats=stats,
+                search_stats=[stats for _, stats in results],
             )
             session.constraints_key = self._constraints_cache_key(texts)
             sessions.append(session)
@@ -530,8 +484,9 @@ class JustInTime:
            stale (per-cell invalidations via ``clear_user``, rows
            stamped under an older model);
         3. recomputes only those (user, t) cells of every registered
-           session through the shared executor — warm-starting each beam
-           from the user's previously stored candidates unless disabled;
+           session in one fused multi-cell search — warm-starting each
+           beam from the user's previously stored candidates unless
+           disabled;
         4. writes all recomputed cells back in one bulk upsert
            transaction, leaving untouched cells' rows byte-identical.
 
@@ -619,65 +574,33 @@ class JustInTime:
                 ),
             )
 
-        def run_one(task):
-            session, t, warm_vectors = task
-            use_warm = warm_vectors is not None and warm_vectors.size > 0
-            generator = self._cell_generator(
-                t, session.constraints, warm=use_warm
-            )
-            found = generator.generate(
-                session.trajectory[t], time=t, warm_start=warm_vectors
-            )
-            return found, generator.last_stats_
-
-        # warm vectors are prefetched here, on the calling thread: the
-        # sqlite3 connection must not be touched from executor workers
-        tasks = [
-            (
-                session,
+        # warm seeds are read as the cells are built, before any write
+        cells = [
+            self._fused_cell(
+                session.user_id,
                 t,
-                self._warm_vectors(session.user_id, t) if warm else None,
+                session.trajectory[t],
+                session.constraints,
+                session.constraints_key,
+                warm=warm,
             )
             for session in sessions
             for t in sorted(cell_times[session.user_id])
         ]
-        if getattr(cfg, "engine", "batch") == "fused":
-            fused_cells = []
-            for session, t, warm_vectors in tasks:
-                use_warm = warm_vectors is not None and warm_vectors.size > 0
-                fused_cells.append(
-                    FusedCell(
-                        cell_id=(session.user_id, t),
-                        t=t,
-                        x_base=session.trajectory[t],
-                        generator=self._cell_generator(
-                            t, session.constraints, warm=use_warm
-                        ),
-                        model_fp=fingerprints.get(t) or None,
-                        warm_start=warm_vectors,
-                        constraints_key=getattr(
-                            session, "constraints_key", None
-                        ),
-                    )
-                )
-            outcome, _fused_report = generate_fused(fused_cells)
-            results = [
-                outcome[(session.user_id, t)] for session, t, _ in tasks
-            ]
-        else:
-            results = self._run_tasks(run_one, tasks)
+        outcome, _ = generate_fused(cells)
+        written = self.store.upsert_cells(
+            [
+                (*cell.cell_id, outcome[cell.cell_id][0], cell.x_base)
+                for cell in cells
+            ],
+            fingerprints=fingerprints,
+        )
 
-        cells = [
-            (session.user_id, t, found, session.trajectory[t])
-            for (session, t, _), (found, _) in zip(tasks, results)
-        ]
-        written = self.store.upsert_cells(cells, fingerprints=fingerprints)
-
-        by_session: dict[str, dict[int, tuple]] = {}
-        for (session, t, _), result in zip(tasks, results):
-            by_session.setdefault(session.user_id, {})[t] = result
         for session in sessions:
-            by_time = by_session.get(session.user_id, {})
+            by_time = {
+                t: outcome[(session.user_id, t)]
+                for t in cell_times[session.user_id]
+            }
             rebuilt: list[Candidate] = []
             for t in range(len(self.future_models)):
                 if t in by_time:
@@ -700,7 +623,7 @@ class JustInTime:
             written,
             warm,
             skipped,
-            search=search_counter_totals(stats for _, stats in results),
+            search=search_counter_totals(stats for _, stats in outcome.values()),
             deferred_cells=deferred,
             freshness=(
                 self.store.traffic_weighted_freshness(fingerprints)
@@ -748,13 +671,6 @@ class JustInTime:
         patience = cfg.patience
         if warm and getattr(cfg, "warm_patience", None) is not None:
             patience = cfg.warm_patience
-        # getattr: AdminConfig objects unpickled from pre-batch saves
-        # lack the field.  Cross-cell engines ('fused') orchestrate cells
-        # outside the generator, which itself always runs the per-cell
-        # batch kernel.
-        engine = getattr(cfg, "engine", "batch")
-        if engine not in ("batch", "scalar"):
-            engine = "batch"
         return CandidateGenerator(
             future_model.model,
             future_model.threshold,
@@ -767,18 +683,36 @@ class JustInTime:
             objective=cfg.objective,
             diff_scale=self.diff_scale,
             random_state=cfg.random_state + 7919 * (t + 1),
-            engine=engine,
         )
 
-    def _run_tasks(self, run_one, tasks) -> list:
-        """Run independent (user × time-point) tasks on the shared executor."""
-        cfg = self.config
-        if cfg.n_jobs > 1 and len(tasks) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=cfg.n_jobs) as pool:
-                return list(pool.map(run_one, tasks))
-        return [run_one(task) for task in tasks]
+    def _fused_cell(
+        self,
+        user_id: str,
+        t: int,
+        x_base: np.ndarray,
+        constraints: ConstraintsFunction,
+        constraints_key: str | None,
+        *,
+        warm: bool = False,
+    ) -> FusedCell:
+        """The (user, t) cell as :func:`generate_fused` computes it, for
+        every caller alike: the cell's generator, the model fingerprint
+        keying the epoch score cache, and the constraints identity
+        keying cell dedup.  With ``warm``, the cell's stored candidates
+        are read here and seed its beam, so callers build every cell
+        before writing any."""
+        seeds = self._warm_vectors(user_id, t) if warm else None
+        return FusedCell(
+            cell_id=(user_id, t),
+            t=t,
+            x_base=x_base,
+            generator=self._cell_generator(
+                t, constraints, warm=seeds is not None and seeds.size > 0
+            ),
+            model_fp=self.future_models[t].fingerprint or None,
+            warm_start=seeds,
+            constraints_key=constraints_key,
+        )
 
     @staticmethod
     def _constraint_texts(user_constraints) -> list | None:

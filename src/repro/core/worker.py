@@ -12,8 +12,9 @@ This module turns the store's staleness ledger into a **work queue**:
    connection to the shared store, and run :func:`drain_stale_cells`:
    claim a few stale cells under a lease
    (:meth:`CandidateStore.claim_stale_cells` — atomic across processes),
-   recompute them from the persisted session specs, upsert, release,
-   repeat until the ledger is clean;
+   recompute the claim from the persisted session specs in one fused
+   multi-cell search (:func:`~repro.core.fused.generate_fused`), upsert,
+   release, repeat until the ledger is clean;
 3. leases expire, so a worker that dies mid-cell merely delays that
    cell until another worker reclaims it — no cell is lost and none is
    computed twice while a lease is live.
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.candidates import search_counter_totals
-from repro.core.fused import EpochProposalCache, FusedCell, generate_fused
+from repro.core.fused import EpochProposalCache, generate_fused
 from repro.core.persistence import load_system
 from repro.exceptions import StorageError
 
@@ -61,9 +62,9 @@ class WorkerReport:
     #: another worker before the compute started (crash-recovery path)
     lost_leases: int = 0
     #: summed :class:`~repro.core.candidates.SearchStats` counters over
-    #: every cell this worker computed (plus ``cells_deduped`` on the
-    #: fused engine) — the work performed, including computes whose
-    #: lease was lost before the upsert
+    #: every cell this worker computed (plus ``cells_deduped``) — the
+    #: work performed, including computes whose lease was lost before
+    #: the upsert
     search: dict = field(default_factory=dict)
 
 
@@ -93,7 +94,6 @@ def drain_stale_cells(
     warm_start: bool | None = None,
     max_cells: int | None = None,
     claim_schema: str | None = None,
-    engine: str | None = None,
     leader_token: tuple | None = None,
     clock=None,
     sleep=time.sleep,
@@ -134,15 +134,16 @@ def drain_stale_cells(
     crash-recovery guarantee would be vacuous if survivors exited while
     the crashed worker's leases were still ticking.
 
-    ``engine`` overrides :attr:`AdminConfig.engine` for the drain.  With
-    ``'fused'``, each claim batch is recomputed as **one**
+    Each claim batch is recomputed as **one**
     :func:`~repro.core.fused.generate_fused` call — every cell's beam
     advances in lock-step, model scoring is grouped across cells, and an
     :class:`~repro.core.fused.EpochProposalCache` persists across claim
     batches so identical proposal rows seen under the same model
-    fingerprint are never re-scored.  Surviving cells are written in one
-    grouped ``upsert_cells`` transaction.  The store contents stay
-    byte-identical to the per-cell drain.
+    fingerprint are never re-scored.  The claim's leases are renewed
+    every lock-stepped round, and the cells whose leases survived the
+    compute are written in one grouped ``upsert_cells`` transaction.
+    The store contents are byte-identical to computing each cell on its
+    own with :meth:`CandidateGenerator.generate`.
 
     ``leader_token`` — a ``(node_id, lease_epoch)`` pair from the
     dispatching HA orchestrator — fences the drain on the leader seat:
@@ -161,11 +162,9 @@ def drain_stale_cells(
     if worker_id is None:
         worker_id = f"worker-{os.getpid()}-{uuid.uuid4().hex[:6]}"
     warm = bool(cfg.warm_start if warm_start is None else warm_start)
-    engine_name = engine if engine is not None else getattr(cfg, "engine", "batch")
-    fused = engine_name == "fused"
     # one cache for the whole drain: claim batches under the same model
     # fingerprints keep hitting rows scored in earlier batches
-    epoch_cache = EpochProposalCache() if fused else None
+    epoch_cache = EpochProposalCache()
     fingerprints = system.model_fingerprints
     specs = {
         user_id: (profile, texts)
@@ -258,95 +257,48 @@ def drain_stale_cells(
             # the next claim picks the cells up)
             sleep(min(1.0, max(float(lease_seconds) / 4.0, 0.05)))
             continue
-        if fused:
-            ready = [(u, t) for u, t in claimed if prepare(u, t)]
-            if not ready:
-                continue
-            fused_cells = []
-            for user_id, t in ready:
-                warm_vectors = (
-                    system._warm_vectors(user_id, t) if warm else None
-                )
-                use_warm = warm_vectors is not None and warm_vectors.size > 0
-                fused_cells.append(
-                    FusedCell(
-                        cell_id=(user_id, t),
-                        t=t,
-                        x_base=trajectories[user_id][t],
-                        generator=system._cell_generator(
-                            t, constraints[user_id], warm=use_warm
-                        ),
-                        model_fp=fingerprints.get(t) or None,
-                        warm_start=warm_vectors,
-                        constraints_key=constraint_keys[user_id],
-                    )
-                )
-            # heartbeat: one fused call computes the *whole* claim before
-            # anything is written, so with an epoch-sized claim_batch the
-            # compute can outlive lease_seconds — and an expired lease is
-            # never renewed (another worker may have reclaimed the cell),
-            # which would lose every cell and re-claim the same batch
-            # forever.  Renewing the claim's leases each lock-stepped
-            # round (one bulk call, seconds apart) keeps them live for
-            # the duration of the compute.
-            def heartbeat(cells=ready):
-                store.renew_leases(
-                    worker_id,
-                    cells,
-                    lease_seconds=lease_seconds,
-                    now=clock(),
-                )
-
-            outcome, fused_report = generate_fused(
-                fused_cells, cache=epoch_cache, on_round=heartbeat
-            )
-            cells_deduped += fused_report.cells_deduped
-            all_stats.extend(stats for _, stats in outcome.values())
-            # the lock-stepped compute may have outlived the leases:
-            # re-verify ownership per cell before writing — cells whose
-            # lease expired belong to another worker now
-            survivors = []
-            rows = []
-            for user_id, t in ready:
-                if not store.renew_leases(
-                    worker_id,
-                    [(user_id, t)],
-                    lease_seconds=lease_seconds,
-                    now=clock(),
-                ):
-                    report.lost_leases += 1
-                    continue
-                found, _ = outcome[(user_id, t)]
-                rows.append(
-                    (user_id, t, found, trajectories[user_id][t])
-                )
-                survivors.append((user_id, t))
-            if rows:
-                # one grouped transaction for the whole claim batch
-                report.candidates_written += store.upsert_cells(
-                    rows, fingerprints=fingerprints
-                )
-                store.release_cells(worker_id, survivors)
-                report.cells.extend(survivors)
+        ready = [(u, t) for u, t in claimed if prepare(u, t)]
+        if not ready:
             continue
-        for user_id, t in claimed:
-            if not prepare(user_id, t):
-                continue
-            trajectory = trajectories[user_id]
-            warm_vectors = system._warm_vectors(user_id, t) if warm else None
-            use_warm = warm_vectors is not None and warm_vectors.size > 0
-            generator = system._cell_generator(
-                t, constraints[user_id], warm=use_warm
+        cells = [
+            system._fused_cell(
+                user_id,
+                t,
+                trajectories[user_id][t],
+                constraints[user_id],
+                constraint_keys[user_id],
+                warm=warm,
             )
-            found = generator.generate(
-                trajectory[t], time=t, warm_start=warm_vectors
+            for user_id, t in ready
+        ]
+
+        # heartbeat: one fused call computes the *whole* claim before
+        # anything is written, so with an epoch-sized claim_batch the
+        # compute can outlive lease_seconds — and an expired lease is
+        # never renewed (another worker may have reclaimed the cell),
+        # which would lose every cell and re-claim the same batch
+        # forever.  Renewing the claim's leases each lock-stepped
+        # round (one bulk call, seconds apart) keeps them live for
+        # the duration of the compute.
+        def heartbeat(cells=ready):
+            store.renew_leases(
+                worker_id,
+                cells,
+                lease_seconds=lease_seconds,
+                now=clock(),
             )
-            all_stats.append(generator.last_stats_)
-            # the compute may have outlived the lease (loaded machine,
-            # search longer than lease_seconds): re-verify ownership
-            # before writing — if the lease expired, another worker has
-            # (or will) recompute the cell, and writing here would
-            # double-report the work
+
+        outcome, fused_report = generate_fused(
+            cells, cache=epoch_cache, on_round=heartbeat
+        )
+        cells_deduped += fused_report.cells_deduped
+        all_stats.extend(stats for _, stats in outcome.values())
+        # the lock-stepped compute may have outlived the leases:
+        # re-verify ownership per cell before writing — cells whose
+        # lease expired belong to another worker now
+        survivors = []
+        rows = []
+        for user_id, t in ready:
             if not store.renew_leases(
                 worker_id,
                 [(user_id, t)],
@@ -355,11 +307,16 @@ def drain_stale_cells(
             ):
                 report.lost_leases += 1
                 continue
+            found, _ = outcome[(user_id, t)]
+            rows.append((user_id, t, found, trajectories[user_id][t]))
+            survivors.append((user_id, t))
+        if rows:
+            # one grouped transaction for the whole claim batch
             report.candidates_written += store.upsert_cells(
-                [(user_id, t, found, trajectory[t])], fingerprints=fingerprints
+                rows, fingerprints=fingerprints
             )
-            store.release_cells(worker_id, [(user_id, t)])
-            report.cells.append((user_id, t))
+            store.release_cells(worker_id, survivors)
+            report.cells.extend(survivors)
     report.search = search_counter_totals(all_stats)
     report.search["cells_deduped"] = cells_deduped
     return report
@@ -375,7 +332,6 @@ def worker_main(
     claim_batch: int = 2,
     lease_seconds: float = 30.0,
     affinity_index: int | None = None,
-    engine: str | None = None,
     leader_token: tuple | None = None,
     result_path: str | None = None,
 ) -> WorkerReport:
@@ -403,7 +359,6 @@ def worker_main(
             lease_seconds=lease_seconds,
             warm_start=warm_start,
             claim_schema=claim_schema,
-            engine=engine,
             leader_token=leader_token,
         )
     finally:
@@ -442,7 +397,6 @@ def run_worker_pool(
     claim_batch: int = 2,
     lease_seconds: float = 30.0,
     shard_affinity: bool = False,
-    engine: str | None = None,
     start_method: str | None = None,
     timeout: float | None = None,
     stats_store=None,
@@ -491,7 +445,6 @@ def run_worker_pool(
                         claim_batch=claim_batch,
                         lease_seconds=lease_seconds,
                         affinity_index=i if shard_affinity else None,
-                        engine=engine,
                         leader_token=leader_token,
                         result_path=result_path,
                     ),

@@ -488,7 +488,7 @@ def _sweep_files(path: str, tag: str) -> None:
 def make_backend(
     backend: str | StoreBackend | None,
     path: str | Path = ":memory:",
-    n_shards: int = 4,
+    n_shards: int | None = None,
 ) -> StoreBackend:
     """Resolve a backend spec to an instance.
 
@@ -498,6 +498,9 @@ def make_backend(
     correctly without re-passing the flag; ``'sqlite'`` otherwise,
     preserving the historical ``CandidateStore(schema, path)``
     behaviour.
+
+    ``n_shards=None`` means the on-disk shard count, or 4 for a new
+    store; an explicit count that disagrees with the disk raises.
     """
     path_str = str(path)
     if isinstance(backend, StoreBackend):
@@ -522,6 +525,8 @@ def make_backend(
     existing_shards = (
         0 if path_str == ":memory:" else _existing_shard_count(path_str)
     )
+    if n_shards is None:
+        n_shards = existing_shards or 4
     if backend is None:
         if path_str == ":memory:":
             backend = "memory"

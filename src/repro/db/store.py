@@ -149,7 +149,8 @@ class CandidateStore:
         :class:`~repro.db.backends.StoreBackend` instance, or ``None`` to
         infer from ``path``.
     n_shards:
-        Shard count for the ``'sharded'`` backend (ignored otherwise).
+        Shard count for the ``'sharded'`` backend (ignored otherwise);
+        ``None`` uses the on-disk count, or 4 for a new store.
     parallel_writes:
         Route bulk writes through per-shard connections (two-phase
         group commit when a batch spans shards).  ``None`` (default)
@@ -173,7 +174,7 @@ class CandidateStore:
         path: str | Path = ":memory:",
         *,
         backend: str | StoreBackend | None = None,
-        n_shards: int = 4,
+        n_shards: int | None = None,
         parallel_writes: bool | None = None,
     ):
         for name in schema.names:

@@ -132,7 +132,10 @@ class LogisticRegression(BaseClassifier):
         check_fitted(self, "coef_")
         X = check_X(X)
         self._check_n_features(X)
-        p1 = sigmoid(X @ self.coef_ + self.intercept_)
+        # a row-wise reduction, not ``X @ coef_``: a BLAS matrix-vector
+        # product may round a row differently depending on the batch it
+        # sits in, and the fused search scores rows of many cells at once
+        p1 = sigmoid((X * self.coef_).sum(axis=1) + self.intercept_)
         return np.column_stack([1.0 - p1, p1])
 
     def score_gradient(self, x) -> np.ndarray:

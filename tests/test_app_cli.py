@@ -78,10 +78,8 @@ class TestParser:
              "--budget", "3"]
         )
         assert daemon.budget == 3 and daemon.cold is False
-        workers = parser.parse_args(
-            ["refresh-workers", "--budget", "7", "--engine", "fused"]
-        )
-        assert workers.budget == 7 and workers.engine == "fused"
+        workers = parser.parse_args(["refresh-workers", "--budget", "7"])
+        assert workers.budget == 7
         orch = parser.parse_args(
             ["refresh-orchestrator", "--feed", "f.csv", "--cadence", "1",
              "--budget", "4", "--sla-epochs", "2",
@@ -91,6 +89,18 @@ class TestParser:
         assert orch.sla_epochs == 2
         assert orch.priority_halflife == 60.0
         assert orch.claim_batch == 2 and orch.lease_seconds == 30.0
+
+    def test_engine_flag_is_gone(self, capsys):
+        """One search path: no refresh verb takes ``--engine``."""
+        for verb in (
+            ["refresh"],
+            ["refresh-workers"],
+            ["refresh-orchestrator", "--feed", "f.csv"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                make_parser().parse_args([*verb, "--engine", "fused"])
+            assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
     def test_budget_defaults_to_unlimited(self):
         args = make_parser().parse_args(["refresh"])

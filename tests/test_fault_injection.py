@@ -2,8 +2,9 @@
 corrupt the store.
 
 A worker's drain loop touches the store through a small set of
-operations (claim → renew → upsert → release, plus the drained-queue
-probes).  :class:`CrashingStore` wraps a real store and raises
+operations (claim → renew → per-round lease heartbeats → renew →
+grouped upsert → release, plus the drained-queue probes).
+:class:`CrashingStore` wraps a real store and raises
 :class:`WorkerCrashed` when a scheduled operation count is reached —
 simulating the process dying *between* store operations, which is the
 only granularity that exists: each operation is itself a transaction,
@@ -12,8 +13,10 @@ so a kill lands either before or after it, never inside.
 The invariant under test, across seeded random crash points and both
 file-backed backends: after the dead worker's leases expire, a survivor
 drains the remainder and the final store contents are **byte-identical**
-to an uninterrupted run (``CandidateStore.contents_digest``), with a
-clean ledger and no lingering leases.
+to the per-cell reference (``CandidateStore.contents_digest``), with a
+clean ledger and no lingering leases.  Crash points that target one
+operation are located by tracing an uninterrupted drain, since the
+heartbeat count depends on how many rounds the search runs.
 """
 
 import numpy as np
@@ -28,6 +31,8 @@ from repro.data import (
     make_lending_dataset,
 )
 from repro.temporal import PerPeriodStrategy, lending_update_function
+
+from cell_reference import reference_create_sessions, reference_recompute
 
 DRIFT_T = 1
 N_USERS = 4
@@ -80,8 +85,8 @@ class CrashingStore:
 
 class OpRecordingStore:
     """Store proxy that records the drain-op sequence without crashing —
-    used to *find* an op index (e.g. "right after the grouped upsert")
-    when the sequence is workload-dependent, as with the fused drain's
+    used to *find* an op index (e.g. "right after the grouped upsert"),
+    since the sequence is workload-dependent through the drain's
     per-round lease heartbeats."""
 
     def __init__(self, inner):
@@ -134,8 +139,7 @@ def make_users(schema, n=N_USERS):
     ]
 
 
-def build_refit_system(schema, history, drift_data, db, backend):
-    """A populated system whose models were refit (ledger fully stale)."""
+def build_fitted_system(schema, history, db, backend):
     system = JustInTime(
         schema,
         lending_update_function(schema),
@@ -147,25 +151,55 @@ def build_refit_system(schema, history, drift_data, db, backend):
         store_backend=backend,
         n_shards=4,
     )
-    system.fit(history)
+    return system.fit(history)
+
+
+def build_refit_system(schema, history, drift_data, db, backend):
+    """A populated system whose models were refit (ledger fully stale)."""
+    system = build_fitted_system(schema, history, db, backend)
     system.create_sessions(make_users(schema))
     system.refit(drift_data)
     return system
 
 
+def drain_op_trace(schema, history, drift_data, workdir, backend, **kwargs):
+    """The drain-op sequence of an uninterrupted drain of the workload
+    (``kwargs`` go to :func:`drain_stale_cells`)."""
+    workdir.mkdir()
+    system = build_refit_system(
+        schema, history, drift_data, workdir / "cands.db", backend
+    )
+    real_store = system.store
+    recorder = OpRecordingStore(real_store)
+    system.store = recorder
+    try:
+        drain_stale_cells(
+            system,
+            worker_id="tracer",
+            warm_start=False,
+            clock=FakeClock(1000.0),
+            lease_seconds=LEASE_SECONDS,
+            **kwargs,
+        )
+    finally:
+        system.store = real_store
+        real_store.close()
+    return recorder.trace
+
+
 @pytest.fixture(scope="module")
 def reference_digests(schema, history, drift_data, tmp_path_factory):
-    """Uninterrupted-drain digest per backend — the identity target."""
+    """Per-cell reference digest and stale-cell count per backend — the
+    identity target."""
     digests = {}
     for backend in ("sqlite", "sharded"):
         db = tmp_path_factory.mktemp("ref") / f"{backend}.db"
-        system = build_refit_system(schema, history, drift_data, db, backend)
-        clock = FakeClock()
-        report = drain_stale_cells(
-            system, warm_start=False, clock=clock, lease_seconds=LEASE_SECONDS
-        )
-        assert len(report.cells) >= N_USERS
-        digests[backend] = (system.store.contents_digest(), len(report.cells))
+        system = build_fitted_system(schema, history, db, backend)
+        reference_create_sessions(system, make_users(schema))
+        system.refit(drift_data)
+        cells, _, _ = reference_recompute(system)
+        assert len(cells) >= N_USERS
+        digests[backend] = (system.store.contents_digest(), len(cells))
         system.store.close()
     return digests
 
@@ -220,11 +254,16 @@ class TestCrashRecoveryDigestIdentity:
     ):
         """Randomised (seeded) crash schedule over the whole drain loop:
         every crash point must recover to the reference digest."""
-        expected, total_cells = reference_digests[backend]
+        expected, _ = reference_digests[backend]
         rng = np.random.default_rng(0xFA171)
-        # an uninterrupted drain issues ~6 ops per cell; sample crash
-        # points across that whole range, always including the edges
-        upper = 6 * total_cells + 4
+        # sample crash points across an uninterrupted drain's whole op
+        # sequence, always including the edges (``upper`` is one past
+        # the last op: a clean run)
+        upper = len(
+            drain_op_trace(
+                schema, history, drift_data, tmp_path / "trace", backend
+            )
+        )
         points = sorted(
             {0, 1, upper, *(int(p) for p in rng.integers(2, upper, size=6))}
         )
@@ -244,19 +283,24 @@ class TestCrashRecoveryDigestIdentity:
     def test_crash_mid_cell_does_not_double_write(
         self, schema, history, drift_data, tmp_path, backend, reference_digests
     ):
-        """Die immediately after an upsert (before release): the cell is
-        fresh, the survivor never recomputes it, and its orphaned lease
-        is pruned — not inherited."""
+        """Die immediately after an upsert (before release): the claim
+        batch's cells are fresh, the survivor never recomputes them, and
+        their orphaned leases are pruned — not inherited."""
         expected, total_cells = reference_digests[backend]
-        # op sequence: claim(0) renew(1) renew(2) upsert(3) → die
-        # before release, i.e. crash_at=4
+        # die at the first release_cells, right after the grouped upsert
+        trace = drain_op_trace(
+            schema, history, drift_data, tmp_path / "trace", backend
+        )
+        crash_at = trace.index("release_cells")
+        assert trace[crash_at - 1] == "upsert_cells"
         crashed, digest, survivor = self.drain_with_crash(
-            schema, history, drift_data, tmp_path, backend, 4
+            schema, history, drift_data, tmp_path, backend, crash_at
         )
         assert crashed
         assert digest == expected
-        # exactly one cell was completed by the dead worker
-        assert len(survivor.cells) == total_cells - 1
+        # exactly one claim batch (the default claim_batch=2) was
+        # completed by the dead worker
+        assert len(survivor.cells) == total_cells - 2
 
 
 class TestLostLeaseIsNotWritten:
@@ -365,8 +409,13 @@ class TestAffinityDrainIdentity:
         system = build_refit_system(schema, history, drift_data, db, "sharded")
         clock = FakeClock(1000.0)
         schemas = system.store.backend.schemas()
+        # die at the first release_cells, right after the grouped upsert
+        trace = drain_op_trace(
+            schema, history, drift_data, tmp_path / "trace", "sharded",
+            claim_schema=schemas[0],
+        )
         real_store = system.store
-        system.store = CrashingStore(real_store, 4)  # die before release
+        system.store = CrashingStore(real_store, trace.index("release_cells"))
         try:
             drain_stale_cells(
                 system,
@@ -397,15 +446,15 @@ class TestAffinityDrainIdentity:
 
 @pytest.mark.parametrize("backend", ["sqlite", "sharded"])
 class TestFusedDrainCrashRecovery:
-    """The fused engine batches a whole claim under one lock-stepped
+    """The drain batches a whole claim under one lock-stepped fused
     compute and one grouped upsert, so a crash loses (at most) a claim
-    batch of work instead of one cell — but the recovery contract is
-    unchanged: after lease expiry a survivor (fused or per-cell) drains
-    the remainder to the **per-cell reference digest**."""
+    batch of work — but the recovery contract is unchanged: after lease
+    expiry a survivor, whatever its claim batch, drains the remainder to
+    the **per-cell reference digest**."""
 
     def drain_fused_with_crash(
         self, schema, history, drift_data, tmp_path, backend, crash_at,
-        survivor_engine,
+        survivor_claim_batch,
     ):
         db = tmp_path / "cands.db"
         system = build_refit_system(schema, history, drift_data, db, backend)
@@ -421,7 +470,6 @@ class TestFusedDrainCrashRecovery:
                 clock=clock,
                 lease_seconds=LEASE_SECONDS,
                 claim_batch=3,
-                engine="fused",
             )
         except WorkerCrashed:
             crashed = True
@@ -434,8 +482,7 @@ class TestFusedDrainCrashRecovery:
             warm_start=False,
             clock=clock,
             lease_seconds=LEASE_SECONDS,
-            claim_batch=3,
-            engine=survivor_engine,
+            claim_batch=survivor_claim_batch,
         )
         digest = system.store.contents_digest()
         stale = system.store.stale_cells(system.model_fingerprints)
@@ -449,27 +496,32 @@ class TestFusedDrainCrashRecovery:
         self, schema, history, drift_data, tmp_path, backend, reference_digests
     ):
         """Seeded crash schedule over the fused drain loop — every kill
-        point (mid-claim, mid-renew, before the grouped upsert, before
-        release) must recover to the uninterrupted reference digest."""
-        expected, total_cells = reference_digests[backend]
+        point (mid-claim, mid-renew, mid-heartbeat, before the grouped
+        upsert, before release) must recover to the reference digest."""
+        expected, _ = reference_digests[backend]
         rng = np.random.default_rng(0xF05ED)
-        upper = 6 * total_cells + 4
+        upper = len(
+            drain_op_trace(
+                schema, history, drift_data, tmp_path / "trace", backend,
+                claim_batch=3,
+            )
+        )
         points = sorted(
             {0, 1, upper, *(int(p) for p in rng.integers(2, upper, size=5))}
         )
         for i, crash_at in enumerate(points):
             workdir = tmp_path / f"crash-{crash_at}"
             workdir.mkdir()
-            # alternate who finishes the job: the fused and per-cell
-            # drains must be interchangeable mid-recovery
-            survivor_engine = "fused" if i % 2 else "batch"
+            # alternate how the survivor finishes the job: cell by cell
+            # or in claim batches as large as the dead worker's
+            survivor_claim_batch = 3 if i % 2 else 1
             crashed, digest, _ = self.drain_fused_with_crash(
                 schema, history, drift_data, workdir, backend, crash_at,
-                survivor_engine,
+                survivor_claim_batch,
             )
             assert digest == expected, (
                 f"store diverged after fused crash at op {crash_at}"
-                f" (survivor={survivor_engine})"
+                f" (survivor claim_batch={survivor_claim_batch})"
             )
 
     def test_crash_before_grouped_release(
@@ -483,29 +535,14 @@ class TestFusedDrainCrashRecovery:
         # grouped upsert's op index depends on how many rounds the
         # search runs — trace an identical uninterrupted drain and die
         # before the op that follows the first upsert (the release)
-        trace_dir = tmp_path / "trace"
-        trace_dir.mkdir()
-        system = build_refit_system(
-            schema, history, drift_data, trace_dir / "cands.db", backend
-        )
-        real_store = system.store
-        recorder = OpRecordingStore(real_store)
-        system.store = recorder
-        drain_stale_cells(
-            system,
-            worker_id="tracer",
-            warm_start=False,
-            clock=FakeClock(1000.0),
-            lease_seconds=LEASE_SECONDS,
+        trace = drain_op_trace(
+            schema, history, drift_data, tmp_path / "trace", backend,
             claim_batch=3,
-            engine="fused",
         )
-        system.store = real_store
-        real_store.close()
-        crash_at = recorder.trace.index("upsert_cells") + 1
-        assert recorder.trace[crash_at] == "release_cells"
+        crash_at = trace.index("upsert_cells") + 1
+        assert trace[crash_at] == "release_cells"
         crashed, digest, survivor = self.drain_fused_with_crash(
-            schema, history, drift_data, tmp_path, backend, crash_at, "fused"
+            schema, history, drift_data, tmp_path, backend, crash_at, 3
         )
         assert crashed
         assert digest == expected

@@ -1,12 +1,14 @@
 """Fused multi-cell beam engine: byte-identity, dedup and the epoch cache.
 
-The fused engine is a *scheduling* change, never an arithmetic one: it
-advances every cell's beam in lock-step and groups model scoring across
-cells, so its candidates must be **byte-identical** to the per-cell
-batch engine on every store backend, warm or cold.  These tests pin that
-contract (``contents_digest`` equality), the epoch-level proposal cache
-semantics (hits on shared rows, invalidation on model-fingerprint
-change), and the cell-level dedup fan-out.
+The fused engine is the system's one search path, and it is a
+*scheduling* change, never an arithmetic one: it advances every cell's
+beam in lock-step and groups model scoring across cells, so its
+candidates must be **byte-identical** to computing each cell on its own
+(the per-cell reference in ``cell_reference.py``) on every store
+backend, warm or cold.  These tests pin that contract
+(``contents_digest`` equality), the epoch-level proposal cache semantics
+(hits on shared rows, invalidation on model-fingerprint change), and
+the cell-level dedup fan-out.
 """
 
 import numpy as np
@@ -22,10 +24,8 @@ from repro.core import (
     FusedCell,
     JustInTime,
     drain_stale_cells,
-    engine_names,
     generate_fused,
 )
-from repro.core.candidates import ENGINES
 from repro.data import (
     LendingGenerator,
     TemporalDataset,
@@ -33,8 +33,9 @@ from repro.data import (
     lending_schema,
     make_lending_dataset,
 )
-from repro.exceptions import CandidateSearchError
 from repro.temporal import PerPeriodStrategy, lending_update_function
+
+from cell_reference import reference_create_sessions, reference_recompute
 
 DRIFT_T = 1
 BACKENDS = ["sqlite", "memory", "sharded"]
@@ -73,7 +74,7 @@ def make_users(schema, n=8):
     return users
 
 
-def build_system(schema, db, backend, engine, **overrides):
+def build_system(schema, db, backend, **overrides):
     config = dict(
         T=3,
         strategy=PerPeriodStrategy(),
@@ -82,7 +83,6 @@ def build_system(schema, db, backend, engine, **overrides):
         max_iter=8,
         patience=3,
         random_state=11,
-        engine=engine,
     )
     config.update(overrides)
     return JustInTime(
@@ -96,36 +96,23 @@ def build_system(schema, db, backend, engine, **overrides):
     )
 
 
-def populate_and_refresh(schema, history, drift_data, db, backend, engine, warm):
-    system = build_system(schema, db, backend, engine, warm_start=warm)
+def populate_and_refresh(schema, history, drift_data, db, backend, warm):
+    system = build_system(schema, db, backend, warm_start=warm)
     system.fit(history)
     system.create_sessions(make_users(schema))
     report = system.refresh(drift_data)
     return system, report
 
 
-class TestEngineRegistry:
-    def test_fused_is_registered(self):
-        assert "fused" in ENGINES
-        assert engine_names() == sorted(ENGINES)
-
-    def test_admin_config_accepts_fused(self):
-        assert AdminConfig(engine="fused").engine == "fused"
-
-    def test_admin_config_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match=r"batch.*scalar"):
-            AdminConfig(engine="vectorised")
-
-    def test_generator_rejects_cross_cell_engine(self, schema, lending_ds):
-        """'fused' orchestrates cells *outside* the generator; the
-        generator itself only runs per-cell kernels."""
-        from repro.ml import RandomForestClassifier
-
-        model = RandomForestClassifier(
-            n_estimators=4, max_depth=3, random_state=0
-        ).fit(lending_ds.X, lending_ds.y)
-        with pytest.raises(CandidateSearchError):
-            CandidateGenerator(model, 0.5, schema, engine="fused")
+def populate_and_recompute_per_cell(
+    schema, history, drift_data, db, backend, warm
+):
+    """The same workload with every cell computed on its own."""
+    system = build_system(schema, db, backend, warm_start=warm)
+    system.fit(history)
+    reference_create_sessions(system, make_users(schema))
+    system.refit(drift_data)
+    return system, reference_recompute(system, warm_start=warm)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -134,26 +121,28 @@ class TestRefreshDigestIdentity:
     def test_fused_refresh_matches_batch(
         self, schema, history, drift_data, tmp_path, backend, warm
     ):
+        """``refresh`` equals the per-cell reference, onboarding
+        included."""
         def db(tag):
             return (
                 ":memory:" if backend == "memory" else tmp_path / f"{tag}.db"
             )
 
-        ref_sys, ref = populate_and_refresh(
-            schema, history, drift_data, db("batch"), backend, "batch", warm
+        ref_sys, (cells, written, search) = populate_and_recompute_per_cell(
+            schema, history, drift_data, db("reference"), backend, warm
         )
         fus_sys, fus = populate_and_refresh(
-            schema, history, drift_data, db("fused"), backend, "fused", warm
+            schema, history, drift_data, db("fused"), backend, warm
         )
         assert (
             fus_sys.store.contents_digest() == ref_sys.store.contents_digest()
         )
-        assert fus.cells_recomputed == ref.cells_recomputed
-        assert fus.candidates_written == ref.candidates_written
+        assert fus.cells_recomputed == len(cells)
+        assert fus.candidates_written == written
         # identical work, counted identically — only scheduling differs
         for key in ("iterations", "proposals_evaluated", "valid_found",
                     "dedupe_hits"):
-            assert fus.search[key] == ref.search[key]
+            assert fus.search[key] == search[key]
         ref_sys.store.close()
         fus_sys.store.close()
 
@@ -219,8 +208,7 @@ class TestEpochCache:
         share proposal rows through the epoch cache during a fused
         refresh."""
         _, report = populate_and_refresh(
-            schema, history, drift_data,
-            tmp_path / "cands.db", "sqlite", "fused", False,
+            schema, history, drift_data, tmp_path / "cands.db", "sqlite", False
         )
         assert report.search["cache_hits"] > 0
 
@@ -291,37 +279,29 @@ class TestWorkerDrainIdentity:
     def test_fused_drain_matches_per_cell(
         self, schema, history, drift_data, tmp_path, backend
     ):
-        digests = {}
-        reports = {}
-        for engine in ("batch", "fused"):
-            system = build_system(
-                schema, tmp_path / f"{engine}.db", backend, "batch"
-            )
-            system.fit(history)
-            system.create_sessions(make_users(schema))
-            system.refit(drift_data)
-            reports[engine] = drain_stale_cells(
-                system,
-                worker_id=f"w-{engine}",
-                claim_batch=3,
-                warm_start=False,
-                engine=engine,
-            )
-            digests[engine] = system.store.contents_digest()
-            system.store.close()
-        assert digests["fused"] == digests["batch"]
-        assert sorted(reports["fused"].cells) == sorted(reports["batch"].cells)
-        assert (
-            reports["fused"].candidates_written
-            == reports["batch"].candidates_written
+        reference, (cells, written, search) = populate_and_recompute_per_cell(
+            schema, history, drift_data, tmp_path / "reference.db", backend,
+            False,
         )
+        expected = reference.store.contents_digest()
+        reference.store.close()
+
+        system = build_system(schema, tmp_path / "fused.db", backend)
+        system.fit(history)
+        system.create_sessions(make_users(schema))
+        system.refit(drift_data)
+        report = drain_stale_cells(
+            system, worker_id="w", claim_batch=3, warm_start=False
+        )
+        assert system.store.contents_digest() == expected
+        system.store.close()
+        assert sorted(report.cells) == sorted(cells)
+        assert report.candidates_written == written
         for key in ("iterations", "proposals_evaluated", "valid_found",
                     "dedupe_hits"):
-            assert (
-                reports["fused"].search[key] == reports["batch"].search[key]
-            )
+            assert report.search[key] == search[key]
         # the drain-long cache keeps paying across claim batches
-        assert reports["fused"].search["cache_hits"] > 0
+        assert report.search["cache_hits"] > 0
 
 
 class _TickingClock:
@@ -349,18 +329,13 @@ class TestLeaseHeartbeat:
         lease = 30.0
         users = make_users(schema)
 
-        reference = build_system(schema, tmp_path / "ref.db", "sqlite", "batch")
-        reference.fit(history)
-        reference.create_sessions(users)
-        reference.refit(drift_data)
-        drain_stale_cells(
-            reference, worker_id="ref", claim_batch=len(users) * 4,
-            warm_start=False, engine="batch",
+        reference, _ = populate_and_recompute_per_cell(
+            schema, history, drift_data, tmp_path / "ref.db", "sqlite", False
         )
         reference_digest = reference.store.contents_digest()
         reference.store.close()
 
-        system = build_system(schema, tmp_path / "hb.db", "sqlite", "batch")
+        system = build_system(schema, tmp_path / "hb.db", "sqlite")
         system.fit(history)
         system.create_sessions(users)
         system.refit(drift_data)
@@ -382,7 +357,6 @@ class TestLeaseHeartbeat:
             claim_batch=len(stale),
             lease_seconds=lease,
             warm_start=False,
-            engine="fused",
             clock=clock,
         )
         # the compute really did outlive the lease it was claimed under…

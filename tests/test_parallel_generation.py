@@ -1,7 +1,6 @@
 """Tests for parallel candidates generation (§II.B: generators are
 independent and can be executed in parallel)."""
 
-import numpy as np
 import pytest
 
 from repro.constraints import lending_domain_constraints
@@ -15,13 +14,11 @@ def history():
     return make_lending_dataset(n_per_year=120, random_state=3)
 
 
-def _system(schema, history, n_jobs):
+def _system(schema, history):
     system = JustInTime(
         schema,
         lending_update_function(schema),
-        AdminConfig(
-            T=3, strategy="last", k=4, max_iter=8, random_state=0, n_jobs=n_jobs
-        ),
+        AdminConfig(T=3, strategy="last", k=4, max_iter=8, random_state=0),
         domain_constraints=lending_domain_constraints(schema),
     )
     system.fit(history)
@@ -29,38 +26,6 @@ def _system(schema, history, n_jobs):
 
 
 class TestParallelEqualsSequential:
-    def test_identical_candidates(self, schema, history):
-        seq = _system(schema, history, n_jobs=1).create_session(
-            "u", john_profile()
-        )
-        par = _system(schema, history, n_jobs=4).create_session(
-            "u", john_profile()
-        )
-        assert len(seq.candidates) == len(par.candidates)
-        def key(c):
-            return (c.time, tuple(np.round(c.x, 9)))
-
-        for a, b in zip(sorted(seq.candidates, key=key),
-                        sorted(par.candidates, key=key)):
-            assert a.time == b.time
-            assert np.array_equal(a.x, b.x)
-            assert a.confidence == pytest.approx(b.confidence)
-
-    def test_store_rows_match(self, schema, history):
-        sys_par = _system(schema, history, n_jobs=3)
-        sys_par.create_session("u", john_profile())
-        sys_seq = _system(schema, history, n_jobs=1)
-        sys_seq.create_session("u", john_profile())
-        a = sys_par.store.sql(
-            "SELECT time, diff, gap, p FROM candidates ORDER BY time, diff, p"
-        )
-        b = sys_seq.store.sql(
-            "SELECT time, diff, gap, p FROM candidates ORDER BY time, diff, p"
-        )
-        assert [tuple(r) for r in a] == [tuple(r) for r in b]
-
     def test_stats_per_time_point(self, schema, history):
-        session = _system(schema, history, n_jobs=2).create_session(
-            "u", john_profile()
-        )
+        session = _system(schema, history).create_session("u", john_profile())
         assert len(session.search_stats) == 4

@@ -4,7 +4,7 @@ Covers the whole thread: candidate metadata round-trips through every
 backend, ``contents_digest`` folds plan-set metadata in deterministically
 (and leaves metadata-free rows byte-identical to the pre-plan-set
 formula), the fused engine's batched selection produces the same digest
-as the per-cell batch engine, the insight layer's ``plans=k``
+as per-cell generation, the insight layer's ``plans=k``
 alternatives view, the serving tier's ``?plans=k`` (including the
 default's byte-identity and cache revalidation), and ``query --plans``.
 """
@@ -31,6 +31,8 @@ from repro.exceptions import QueryError
 from repro.serve import InsightServer, bundle_payload, dumps
 from repro.temporal import PerPeriodStrategy, lending_update_function
 
+from cell_reference import reference_create_sessions
+
 
 def cand(x, time, diff, gap, p, **plan_meta):
     return Candidate(
@@ -51,7 +53,7 @@ def make_users(schema, n=3):
     return users
 
 
-def build_system(schema, history, db, backend, engine, n_shards=2):
+def fitted_system(schema, history, db, backend, n_shards=2):
     system = JustInTime(
         schema,
         lending_update_function(schema),
@@ -63,14 +65,17 @@ def build_system(schema, history, db, backend, engine, n_shards=2):
             max_iter=8,
             patience=3,
             random_state=11,
-            engine=engine,
         ),
         domain_constraints=lending_domain_constraints(schema),
         store_path=":memory:" if backend == "memory" else db,
         store_backend=backend,
         n_shards=n_shards,
     )
-    system.fit(history)
+    return system.fit(history)
+
+
+def build_system(schema, history, db, backend, n_shards=2):
+    system = fitted_system(schema, history, db, backend, n_shards)
     system.create_sessions(make_users(schema))
     return system
 
@@ -84,7 +89,7 @@ def history():
 def populated(schema, history, tmp_path_factory):
     """A generated sqlite system — the workhorse for the e2e tests."""
     tmp = tmp_path_factory.mktemp("plansets")
-    system = build_system(schema, history, tmp / "plans.db", "sqlite", "batch")
+    system = build_system(schema, history, tmp / "plans.db", "sqlite")
     yield system
     system.store.close()
 
@@ -192,7 +197,7 @@ class TestDigestContract:
         digests = {}
         for backend in ("sqlite", "memory", "sharded"):
             system = build_system(
-                schema, history, tmp_path / f"{backend}.db", backend, "batch"
+                schema, history, tmp_path / f"{backend}.db", backend
             )
             digests[backend] = system.store.contents_digest()
             system.store.close()
@@ -202,15 +207,17 @@ class TestDigestContract:
         self, schema, history, tmp_path
     ):
         """The fused engine's batched cross-cell plan-set selection is
-        bit-identical to the per-cell batch engine — digest-proved."""
-        digests = {}
-        for engine in ("batch", "fused"):
-            system = build_system(
-                schema, history, tmp_path / f"{engine}.db", "sqlite", engine
-            )
-            digests[engine] = system.store.contents_digest()
-            system.store.close()
-        assert digests["batch"] == digests["fused"]
+        bit-identical to per-cell generation — digest-proved."""
+        fused = build_system(schema, history, tmp_path / "fused.db", "sqlite")
+        reference = fitted_system(
+            schema, history, tmp_path / "reference.db", "sqlite"
+        )
+        reference_create_sessions(reference, make_users(schema))
+        assert (
+            fused.store.contents_digest() == reference.store.contents_digest()
+        )
+        fused.store.close()
+        reference.store.close()
 
 
 class TestGeneratedPlanSets:

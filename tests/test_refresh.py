@@ -146,10 +146,6 @@ class TestFingerprints:
 
 
 class TestAdminConfigValidation:
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError, match=r"batch.*scalar"):
-            AdminConfig(engine="vectorised")
-
     def test_unknown_strategy_lists_allowed(self):
         with pytest.raises(ValueError, match=r"edd.*last"):
             AdminConfig(strategy="lsat")
@@ -235,23 +231,6 @@ class TestRefreshCorrectness:
             assert_same_candidates(
                 session.candidates, system.store.load_candidates(uid)
             )
-
-    def test_refresh_parallel_matches_sequential(
-        self, schema, history, drift_data
-    ):
-        """n_jobs > 1 must not touch the sqlite connection from workers
-        and must produce the sequential results (per-t seeds)."""
-        results = {}
-        for n_jobs in (1, 3):
-            system = build_system(schema, n_jobs=n_jobs).fit(history)
-            system.create_sessions(USERS)
-            report = system.refresh(drift_data)  # warm start on: reads store
-            assert report.stale_times == (DRIFT_T,)
-            results[n_jobs] = [
-                system.get_session(uid).candidates for uid, _ in USERS
-            ]
-        for a, b in zip(results[1], results[3]):
-            assert_same_candidates(a, b)
 
     def test_noop_refresh(self, schema, history):
         system = build_system(schema).fit(history)

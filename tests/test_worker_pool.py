@@ -25,7 +25,10 @@ from repro.data import (
     make_lending_dataset,
 )
 from repro.exceptions import StorageError
+from repro.db import CandidateStore
 from repro.temporal import PerPeriodStrategy, lending_update_function
+
+from cell_reference import reference_recompute
 
 DRIFT_T = 1
 N_USERS = 6
@@ -58,7 +61,7 @@ def make_users(schema, n=N_USERS):
     ]
 
 
-def build_populated(schema, history, db, backend, **overrides):
+def build_populated(schema, history, db, backend, n_shards=4, **overrides):
     config = dict(
         T=2, strategy=PerPeriodStrategy(), k=4, max_iter=8, random_state=0
     )
@@ -70,11 +73,21 @@ def build_populated(schema, history, db, backend, **overrides):
         domain_constraints=lending_domain_constraints(schema),
         store_path=db,
         store_backend=backend,
-        n_shards=4,
+        n_shards=n_shards,
     )
     system.fit(history)
     system.create_sessions(make_users(schema))
     return system
+
+
+def reference_digest(schema, history, drift_data, db, backend, n_shards=4):
+    """Digest of the per-cell reference recompute of the refit workload."""
+    reference = build_populated(schema, history, db, backend, n_shards=n_shards)
+    reference.refit(drift_data)
+    reference_recompute(reference)
+    digest = reference.store.contents_digest()
+    reference.store.close()
+    return digest
 
 
 class TestDrain:
@@ -112,6 +125,30 @@ class TestDrain:
         assert (
             drained.store.contents_digest() == inline.store.contents_digest()
         )
+
+    def test_checkpoint_with_engine_and_n_jobs_loads_and_drains(
+        self, schema, history, drift_data, tmp_path
+    ):
+        """Checkpoints written while ``AdminConfig`` still had ``engine``
+        and ``n_jobs`` pickle both attributes; such a system still loads,
+        drains, and matches the per-cell reference."""
+        expected = reference_digest(
+            schema, history, drift_data, tmp_path / "ref.db", "sqlite"
+        )
+        db, pkl = tmp_path / "old.db", tmp_path / "old.pkl"
+        system = build_populated(schema, history, db, "sqlite")
+        system.refit(drift_data)
+        system.config.engine = "batch"
+        system.config.n_jobs = 2
+        save_system(system, pkl)
+        system.store.close()
+
+        loaded = load_system(pkl, store_path=db)
+        assert (loaded.config.engine, loaded.config.n_jobs) == ("batch", 2)
+        report = drain_stale_cells(loaded, warm_start=False)
+        assert len(report.cells) == N_USERS
+        assert loaded.store.contents_digest() == expected
+        loaded.store.close()
 
     def test_drain_skips_unrecoverable_users_and_terminates(
         self, schema, history, drift_data, tmp_path
@@ -208,6 +245,37 @@ class TestWorkerPool:
             reopened.store.stale_cells(reopened.model_fingerprints) == []
         )
         assert reopened.store.lease_rows() == []
+
+    def test_explicit_sharded_backend_opens_a_two_shard_store(
+        self, schema, history, drift_data, tmp_path
+    ):
+        """``store_backend='sharded'`` without a shard count — how the
+        CLI's ``--db-backend sharded`` and every pool worker open the
+        store — must use the on-disk count, not a default of 4."""
+        expected = reference_digest(
+            schema, history, drift_data, tmp_path / "ref.db", "sharded",
+            n_shards=2,
+        )
+        db, pkl = tmp_path / "b.db", tmp_path / "b.pkl"
+        system = build_populated(schema, history, db, "sharded", n_shards=2)
+        system.refit(drift_data)
+        save_system(system, pkl)
+        system.store.close()
+
+        reopened = load_system(pkl, store_path=db, store_backend="sharded")
+        assert reopened.store.backend.n_shards == 2
+        reopened.store.close()
+        # a count that disagrees with the disk still refuses to open
+        with pytest.raises(StorageError, match="2 shard files"):
+            CandidateStore(schema, db, backend="sharded", n_shards=4)
+
+        report = run_worker_pool(
+            pkl, db, n_workers=2, db_backend="sharded", warm_start=False
+        )
+        assert report.cells_recomputed == N_USERS
+        reopened = load_system(pkl, store_path=db, store_backend="sharded")
+        assert reopened.store.contents_digest() == expected
+        reopened.store.close()
 
     def test_pool_rejects_bad_worker_count(self, tmp_path):
         with pytest.raises(StorageError, match="n_workers"):
