@@ -28,7 +28,7 @@ the optimality reference in tests and the beam ablation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from repro.constraints.evaluate import ConstraintsFunction
 from repro.core.diversity import diverse_order
 from repro.core.moves import MoveProposer, default_proposers
 from repro.core.objectives import (
+    BatchCandidateMetrics,
     CandidateMetrics,
     Objective,
     get_objective,
@@ -147,6 +148,61 @@ def search_counter_totals(stats_iter) -> dict[str, int]:
     return totals
 
 
+class _CandidatePool:
+    """One cell's insert-only candidate pool, kept as arrays.
+
+    Each :meth:`add` appends a block of valid rows with their metrics
+    and objective keys.  Blocks keep first-insertion order — the order
+    the row-at-a-time search's dict pool keeps — so plan-set selection
+    sees the same pool order.  Rows are unique without a check: the
+    visited set admits each rounded row once.
+    """
+
+    __slots__ = ("_blocks", "_size")
+
+    def __init__(self):
+        self._blocks: list[tuple] = []
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def add(self, rows, metrics: BatchCandidateMetrics, quality, take) -> None:
+        """Append rows ``take`` of ``rows``/``metrics``/``quality``."""
+        self._blocks.append(
+            (
+                rows[take],
+                metrics.diff[take],
+                metrics.gap[take],
+                metrics.confidence[take],
+                quality[take],
+            )
+        )
+        self._size += self._blocks[-1][0].shape[0]
+
+    @classmethod
+    def of(cls, candidates: list[Candidate], objective: Objective):
+        """The pool of row-at-a-time :class:`Candidate` objects, in order."""
+        pool = cls()
+        if candidates:
+            metrics = BatchCandidateMetrics(
+                diff=np.array([c.diff for c in candidates], dtype=float),
+                gap=np.array([c.gap for c in candidates]),
+                confidence=np.array([c.confidence for c in candidates], dtype=float),
+            )
+            quality = np.array([objective.key(c.metrics) for c in candidates])
+            rows = np.vstack([c.x for c in candidates])
+            pool.add(rows, metrics, quality, slice(None))
+        return pool
+
+    def stacked(self) -> tuple[np.ndarray, BatchCandidateMetrics, np.ndarray]:
+        """``(points, metrics, quality)`` over the whole pool."""
+        rows, diff, gap, confidence, quality = (
+            np.concatenate(column) for column in zip(*self._blocks)
+        )
+        return rows, BatchCandidateMetrics(diff, gap, confidence), quality
+
+
 @dataclass
 class _BeamState:
     """Mutable state of one cell's batched beam search.
@@ -154,14 +210,16 @@ class _BeamState:
     Owned by :meth:`CandidateGenerator.generate` and shared with the
     fused multi-cell engine, which holds one per active cell and
     advances them in lock-stepped rounds (cells drop out of the round
-    set as ``done`` flips).
+    set as ``done`` flips).  ``pool`` holds the valid proposals as
+    arrays; :class:`Candidate` objects are built only for the plan set
+    chosen from it at the end.
     """
 
     x_base: np.ndarray
     time: int
     rng: np.random.Generator
     stats: SearchStats
-    pool: dict
+    pool: _CandidatePool
     visited: set
     best_key: float
     pool_best: float
@@ -266,7 +324,7 @@ class CandidateGenerator:
         where tuple equality would.
         """
         R = np.round(np.atleast_2d(X), 9) + 0.0
-        return [R[i].tobytes() for i in range(R.shape[0])]
+        return R.view(np.dtype((np.void, R.itemsize * R.shape[1]))).ravel().tolist()
 
     def _beam_key(
         self, metrics: CandidateMetrics, n_violations: int, pool_empty: bool
@@ -423,15 +481,15 @@ class CandidateGenerator:
             pair = self._dedupe_step(state, self._propose_step(state))
             if pair is None:
                 break
-            fresh, fresh_keys = pair
+            fresh = pair[0]
             scores = np.asarray(
                 self.model.decision_score(fresh), dtype=float
             ).ravel()
-            self._absorb_step(state, fresh, fresh_keys, scores)
+            self._absorb_step(state, fresh, scores)
             if state.done:
                 break
         self.last_stats_ = state.stats
-        return self._finalise(state.pool)
+        return self._finalise(state.pool, state.time)
 
     def _generate_scalar(
         self, x_base, time: int = 0, warm_start=None
@@ -500,7 +558,9 @@ class CandidateGenerator:
                     stats.converged = True
                     break
         self.last_stats_ = stats
-        return self._finalise(pool)
+        return self._finalise(
+            _CandidatePool.of(list(pool.values()), self.objective), time
+        )
 
     # ------------------------------------------------- batched step kernel
 
@@ -508,7 +568,8 @@ class CandidateGenerator:
         self, x_base, time: int, warm_start=None, *, base_score=None,
         warm_scores=None,
     ) -> "_BeamState":
-        """Prologue → mutable :class:`_BeamState` for the batched loop."""
+        """Prologue → mutable :class:`_BeamState` for the batched loop;
+        the prologue's pooled rows move into the array pool here."""
         x_base, rng, stats, pool, visited, best_key, beam = self._prologue(
             x_base,
             time,
@@ -523,7 +584,7 @@ class CandidateGenerator:
             time=time,
             rng=rng,
             stats=stats,
-            pool=pool,
+            pool=_CandidatePool.of(list(pool.values()), self.objective),
             visited=visited,
             best_key=best_key,
             pool_best=best_key,
@@ -580,12 +641,12 @@ class CandidateGenerator:
         self,
         state: "_BeamState",
         fresh: np.ndarray,
-        fresh_keys: list[bytes],
         scores: np.ndarray,
     ) -> None:
         """Post-scoring remainder of one iteration: metrics, constraint
-        counts, pool inserts, beam re-ranking and the patience check.
-        Sets ``state.done`` when the search converged."""
+        counts, pool inserts (the valid rows, as one array block),
+        beam re-ranking and the patience check.  Sets ``state.done``
+        when the search converged."""
         x_base, time, pool, stats = state.x_base, state.time, state.pool, state.stats
         n = fresh.shape[0]
         metrics = measure_batch(fresh, x_base, scores, self.diff_scale)
@@ -612,14 +673,12 @@ class CandidateGenerator:
             + objective_weight * objective_keys
             + _VIOLATION_PENALTY * violation_counts
         )
-        for i in np.flatnonzero(valid):
-            pool[fresh_keys[i]] = Candidate(
-                fresh[i].copy(), time, metrics.row(int(i))
-            )
-            stats.valid_found += 1
-        if valid.any():
+        keep = np.flatnonzero(valid)
+        if keep.size:
+            pool.add(fresh, metrics, objective_keys, keep)
+            stats.valid_found += int(keep.size)
             state.pool_best = min(
-                state.pool_best, float(objective_keys[valid].min())
+                state.pool_best, float(objective_keys[keep].min())
             )
         state.beam = [
             fresh[i] for i in self._stable_top(beam_keys, self.beam_width)
@@ -655,46 +714,39 @@ class CandidateGenerator:
             take = np.concatenate([smaller, tied[: width - smaller.size]])
         return take[np.argsort(keys[take], kind="stable")]
 
-    def _finalise_pool(
-        self, pool: dict[tuple, Candidate]
-    ) -> tuple[list[Candidate], np.ndarray, np.ndarray] | None:
-        """Stack a pool for plan-set selection (``None`` when empty)."""
-        candidates = list(pool.values())
-        if not candidates:
-            return None
-        quality = np.array([self.objective.key(c.metrics) for c in candidates])
-        points = np.vstack([c.x for c in candidates])
-        return candidates, quality, points
-
     def _finalise_pack(
         self,
-        candidates: list[Candidate],
+        time: int,
+        points: np.ndarray,
+        metrics: BatchCandidateMetrics,
         quality: np.ndarray,
         chosen: list[int],
         min_dists: list[float],
     ) -> list[Candidate]:
-        """Annotate the selected plan set and restore the quality order."""
-        chosen_candidates = [
-            replace(
-                candidates[i],
+        """Build the selected plan set from the stacked pool, annotated,
+        in quality order."""
+        plans = [
+            Candidate(
+                points[i].copy(),
+                time,
+                metrics.row(i),
                 plan_rank=rank,
                 plan_quality=float(quality[i]),
                 plan_min_dist=float(dist) if np.isfinite(dist) else None,
             )
             for rank, (i, dist) in enumerate(zip(chosen, min_dists))
         ]
-        chosen_candidates.sort(key=lambda c: self.objective.key(c.metrics))
-        return chosen_candidates
+        plans.sort(key=lambda c: c.plan_quality)
+        return plans
 
-    def _finalise(self, pool: dict[tuple, Candidate]) -> list[Candidate]:
-        prepared = self._finalise_pool(pool)
-        if prepared is None:
+    def _finalise(self, pool: _CandidatePool, time: int) -> list[Candidate]:
+        if not pool:
             return []
-        candidates, quality, points = prepared
+        points, metrics, quality = pool.stacked()
         chosen, min_dists = diverse_order(
             points, quality, self.k, scale=self.diff_scale
         )
-        return self._finalise_pack(candidates, quality, chosen, min_dists)
+        return self._finalise_pack(time, points, metrics, quality, chosen, min_dists)
 
 
 # --------------------------------------------------------------------------

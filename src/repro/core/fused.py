@@ -21,13 +21,13 @@ fused loop**:
 * per round, cells are grouped by ``(t, model)`` and their fresh
   proposal rows are scored through **one** ``decision_score`` call per
   group instead of one per cell;
-* scored rows feed an **epoch-level proposal cache** keyed
-  ``(model_fp, row_bytes)`` (:class:`EpochProposalCache`) — the per-beam
-  rounded-row dedupe of ``candidates._row_keys`` hoisted across users,
-  so two users proposing the same candidate row under the same model
-  never score it twice.  ``model_fp`` is the invalidation signal: a
-  refit changes the fingerprint and every stale entry simply stops
-  matching;
+* scored rows feed an **epoch-level proposal cache**
+  (:class:`EpochProposalCache`) holding one ``row_bytes -> score``
+  table per model fingerprint — the per-beam rounded-row dedupe of
+  ``candidates._row_keys`` hoisted across users, so two users proposing
+  the same candidate row under the same model never score it twice.
+  ``model_fp`` is the invalidation signal: a refit changes the
+  fingerprint, and the stale table simply stops being asked;
 * threshold moves for a whole group run through **one shared
   vectorized** :meth:`ThresholdMoveProposer.propose_batch` call (whose
   per-(feature, value) target memo now also works cross-cell);
@@ -38,7 +38,12 @@ fused loop**:
   cells' generators to the identical post-draw state;
 * cells that are byte-identical as *search problems* — same ``t``,
   base row, warm seeds, search parameters and declared constraints
-  identity — are computed **once** and replicated.
+  identity — are computed **once** and replicated;
+* each cell's candidate pool stays **arrays** (rows, metrics and
+  objective keys appended per round): the cells finishing in a round
+  have their plan sets selected in one stacked
+  :func:`select_diverse_batch` pass, and ``Candidate`` objects are built
+  only for the ≤k chosen rows of each cell.
 
 Bit-identity contract
 ---------------------
@@ -61,6 +66,7 @@ benches assert it before they time anything.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -82,28 +88,33 @@ __all__ = [
 
 @dataclass
 class EpochProposalCache:
-    """Cross-user decision-score cache keyed ``(model_fp, row_bytes)``.
+    """Cross-user decision-score cache: one ``row_bytes -> score`` table
+    per model fingerprint.
 
     One instance lives for a drain epoch (a worker keeps it across claim
     batches; a refresh builds one per call).  Entries are only ever
-    *correct*: the key includes the model content fingerprint, so a
-    refit does not need to purge anything — stale entries stop matching.
-    Rows offered without a fingerprint bypass the cache entirely.
+    *correct*: rows are looked up in their model fingerprint's own
+    table, so a refit does not need to purge anything — stale tables
+    stop being asked.  Rows offered without a fingerprint bypass the
+    cache entirely.
 
-    ``max_entries`` bounds memory: on overflow the table is dropped
-    wholesale (counted in ``evictions``) rather than partially — epoch
-    working sets are far below the cap in practice, and a rare full
-    reset only costs recomputed scores, never correctness.
+    ``max_entries`` bounds memory across all tables: when a call's
+    misses would overflow it, every table is dropped wholesale (counted
+    in ``evictions``) rather than partially, and at most ``max_entries``
+    of the new scores are kept — epoch working sets are far below the
+    cap in practice, and a rare full reset only costs recomputed scores,
+    never correctness.
     """
 
     max_entries: int = 1_000_000
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    _scores: dict = field(default_factory=dict, repr=False)
+    _tables: dict = field(default_factory=dict, repr=False)
+    _size: int = field(default=0, repr=False)
 
     def __len__(self) -> int:
-        return len(self._scores)
+        return self._size
 
     @property
     def hit_rate(self) -> float:
@@ -119,47 +130,44 @@ class EpochProposalCache:
         bypassed and every row counts as uncached.
         """
         n = X.shape[0]
-        hit_mask = np.zeros(n, dtype=bool)
         if not fp:
             scores = np.asarray(model.decision_score(X), dtype=float).ravel()
-            return scores, hit_mask
-        table = self._scores
-        scores = np.empty(n, dtype=float)
-        miss: list[int] = []
-        # cells advance in lock-step, so different cells proposing the
-        # same row usually do it in the *same* call — dedupe in-flight
-        # rows too: the first occurrence is the scored representative,
-        # repeats are hits served from it (dupes maps repeat → rep)
-        first_seen: dict[bytes, int] = {}
-        dupes: list[tuple[int, int]] = []
-        for i, key in enumerate(keys):
-            value = table.get((fp, key))
-            if value is not None:
-                scores[i] = value
-                hit_mask[i] = True
-                continue
-            rep = first_seen.setdefault(key, i)
-            if rep == i:
-                miss.append(i)
-            else:
-                dupes.append((i, rep))
-                hit_mask[i] = True
-        if miss:
-            idx = np.asarray(miss)
+            return scores, np.zeros(n, dtype=bool)
+        found = list(map(self._tables.get(fp, {}).get, keys))
+        missing = [i for i, value in enumerate(found) if value is None]
+        hit_mask = np.ones(n, dtype=bool)
+        if missing:
+            # cells advance in lock-step, so different cells proposing
+            # the same row usually do it in the *same* call — dedupe
+            # in-flight rows too: the first occurrence of a missing key
+            # is the scored representative, repeats are hits served
+            # from it
+            first: dict[bytes, int] = {}
+            for i in missing:
+                first.setdefault(keys[i], i)
+            reps = list(first.values())
             fresh = np.asarray(
-                model.decision_score(X[idx]), dtype=float
+                model.decision_score(X[reps]), dtype=float
             ).ravel()
-            scores[idx] = fresh
-            if len(table) + len(miss) > self.max_entries:
-                self.evictions += len(table)
-                table.clear()
-            for j, i in enumerate(miss):
-                table[(fp, keys[i])] = float(fresh[j])
-        for i, rep in dupes:
-            scores[i] = scores[rep]
-        self.hits += n - len(miss)
-        self.misses += len(miss)
-        return scores, hit_mask
+            hit_mask[reps] = False
+            new = dict(zip(first, fresh.tolist()))
+            for i in missing:
+                found[i] = new[keys[i]]
+            self._store(fp, new)
+            self.misses += len(reps)
+        self.hits += int(hit_mask.sum())
+        return np.array(found, dtype=float), hit_mask
+
+    def _store(self, fp, new: dict) -> None:
+        """Insert ``new`` under ``fp`` within the ``max_entries`` bound."""
+        if self._size + len(new) > self.max_entries:
+            self.evictions += self._size
+            self._tables.clear()
+            self._size = 0
+            if len(new) > self.max_entries:
+                new = dict(islice(new.items(), self.max_entries))
+        self._tables.setdefault(fp, {}).update(new)
+        self._size += len(new)
 
 
 @dataclass
@@ -532,19 +540,19 @@ def _attribute_cache_counters(state, hit_mask, lo, hi) -> None:
 def _finalise_batch(finished: list[_Run]) -> None:
     """Select the finishing runs' diverse plan sets in one stacked pass.
 
-    Bit-identical to calling ``run.gen._finalise(run.state.pool)`` per
-    run (:func:`select_diverse_batch` replays the exact per-cell greedy
-    arithmetic), but the pools of every cell finishing this round are
-    stacked and selected together — grouped by distance scale, since
+    Bit-identical to calling ``run.gen._finalise(run.state.pool, t)``
+    per run (:func:`select_diverse_batch` replays the exact per-cell
+    greedy arithmetic), but the pools of every cell finishing this round
+    are stacked and selected together — grouped by distance scale, since
     the scaled pairwise distances are shared across the whole stack.
+    Only the chosen rows become :class:`Candidate` objects.
     """
     groups: dict = {}
     for run in finished:
-        prepared = run.gen._finalise_pool(run.state.pool)
-        if prepared is None:
+        if not run.state.pool:
             run.result = []
             continue
-        candidates, quality, points = prepared
+        points, metrics, quality = run.state.pool.stacked()
         scale = run.gen.diff_scale
         key = (
             points.shape[1],
@@ -552,19 +560,21 @@ def _finalise_batch(finished: list[_Run]) -> None:
             if scale is None
             else np.asarray(scale, dtype=float).tobytes(),
         )
-        groups.setdefault(key, []).append((run, candidates, quality, points))
+        groups.setdefault(key, []).append((run, points, metrics, quality))
     for entries in groups.values():
         selections = select_diverse_batch(
-            np.vstack([points for _, _, _, points in entries]),
-            np.concatenate([quality for _, _, quality, _ in entries]),
-            [points.shape[0] for _, _, _, points in entries],
+            np.vstack([points for _, points, _, _ in entries]),
+            np.concatenate([quality for _, _, _, quality in entries]),
+            [points.shape[0] for _, points, _, _ in entries],
             [run.gen.k for run, _, _, _ in entries],
             scale=entries[0][0].gen.diff_scale,
         )
-        for (run, candidates, quality, _), (chosen, dists) in zip(
+        for (run, points, metrics, quality), (chosen, dists) in zip(
             entries, selections
         ):
-            run.result = run.gen._finalise_pack(candidates, quality, chosen, dists)
+            run.result = run.gen._finalise_pack(
+                run.state.time, points, metrics, quality, chosen, dists
+            )
 
 
 def generate_fused(
@@ -655,7 +665,8 @@ def generate_fused(
             for run in group:
                 run.state.stats.iterations += 1
             chunks = _group_proposals(group)
-            pending: list[tuple[_Run, np.ndarray, list[bytes]]] = []
+            pending: list[tuple[_Run, np.ndarray]] = []
+            keys: list[bytes] = []
             for run in group:
                 mats = run.gen._interleave_chunks(
                     chunks[id(run)], len(run.state.beam)
@@ -663,22 +674,20 @@ def generate_fused(
                 pair = run.gen._dedupe_step(run.state, mats)
                 if pair is None:
                     continue
-                pending.append((run, pair[0], pair[1]))
+                pending.append((run, pair[0]))
+                keys += pair[1]
             if not pending:
                 continue
             # one grouped, cache-served scoring call for the whole group
-            X = np.vstack([fresh for _, fresh, _ in pending])
-            keys = [key for _, _, fkeys in pending for key in fkeys]
+            X = np.vstack([fresh for _, fresh in pending])
             scores, hit_mask = cache.scores_for(gen0.model, fp, X, keys)
             if not fp or not hit_mask.all():
                 report.model_calls += 1
             offset = 0
-            for run, fresh, fkeys in pending:
+            for run, fresh in pending:
                 n = fresh.shape[0]
                 _attribute_cache_counters(run.state, hit_mask, offset, offset + n)
-                run.gen._absorb_step(
-                    run.state, fresh, fkeys, scores[offset : offset + n]
-                )
+                run.gen._absorb_step(run.state, fresh, scores[offset : offset + n])
                 offset += n
         # asynchronous exit: finished cells leave the round set, and every
         # cell finishing this round gets its diverse plan set selected in

@@ -96,6 +96,32 @@ class TestPrimitiveEquivalence:
             for i in range(len(batch)):
                 assert keys[i] == objective.key(batch.row(i))
 
+    def test_row_keys_collide_exactly_where_state_keys_do(self):
+        rows = np.array(
+            [
+                [1.0, 0.0, 2.5],
+                [1.0, -0.0, 2.5],  # -0.0 against 0.0
+                [1.0, -1e-10, 2.5],  # -0.0 only after rounding
+                [1.0, 1e-10, 2.5 + 4e-10],  # equal after round(., 9)
+                [1.0, 0.0, 2.5 + 6e-10],  # distinct after round(., 9)
+                [0.1 + 0.2, 2.0, 0.0],  # zero-valued last column
+                [0.3, 2.0, -0.0],
+                [0.3, 2.0, 1e-9],
+                [0.0, 0.0, 0.0],
+            ]
+        )
+        keys = CandidateGenerator._row_keys(rows)
+        tuples = [CandidateGenerator._state_key(row) for row in rows]
+        d = rows.shape[1]
+        for i, key in enumerate(keys):
+            assert isinstance(key, bytes) and len(key) == 8 * d
+            assert key == (np.round(rows[i], 9) + 0.0).tobytes()
+            for j in range(len(keys)):
+                assert (key == keys[j]) == (tuples[i] == tuples[j])
+        assert len(set(keys)) == len(set(tuples)) == 5
+        # 1-D input is one row
+        assert CandidateGenerator._row_keys(rows[6]) == [keys[6]]
+
     def test_clip_matrix_matches_scalar(self, schema, proposal_batch):
         clipped = schema.clip_matrix(proposal_batch)
         for row, ref in zip(proposal_batch, clipped):

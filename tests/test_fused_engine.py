@@ -201,6 +201,29 @@ class TestEpochCache:
         assert model.calls == 2
         assert cache.hits == 0 and cache.misses == 0
 
+    def test_max_entries_holds_when_one_call_misses_more(self):
+        """A call with more misses than ``max_entries`` must not leave the
+        cache over its bound, and the bound covers every fingerprint's
+        table together."""
+        cache = EpochProposalCache(max_entries=2)
+        model = self._CountingModel()
+        X, keys = self._rows()
+        scores, hits = cache.scores_for(model, "fp", X[:3], keys[:3])
+        assert len(cache) <= 2
+        np.testing.assert_array_equal(scores, X[:3].sum(axis=1))
+        X2 = X + 100.0
+        keys2 = [row.tobytes() for row in X2]
+        scores, hits = cache.scores_for(model, "fp", X2[:3], keys2[:3])
+        assert len(cache) <= 2 and not hits.any()
+        np.testing.assert_array_equal(scores, X2[:3].sum(axis=1))
+        assert cache.evictions == 2
+        # one more row under a second fingerprint overflows the shared
+        # bound: every table is dropped, then the new row is kept
+        cache.scores_for(model, "fp-other", X[3:], keys[3:])
+        assert len(cache) == 1 and cache.evictions == 4
+        _, hits = cache.scores_for(model, "fp-other", X[3:], keys[3:])
+        assert hits.all()
+
     def test_shared_workload_has_nonzero_hit_rate(
         self, schema, history, drift_data, tmp_path
     ):
@@ -211,6 +234,54 @@ class TestEpochCache:
             schema, history, drift_data, tmp_path / "cands.db", "sqlite", False
         )
         assert report.search["cache_hits"] > 0
+
+
+class TestFinalistsOnly:
+    def test_candidates_built_only_for_prologue_rows_and_plan_sets(
+        self, schema, history, drift_data, tmp_path, monkeypatch
+    ):
+        """A cell's pool stays arrays: the engine builds ``Candidate``
+        objects only for prologue rows (base row and warm seeds) and the
+        ≤k plan set of each cell (replicated cells get fresh copies)."""
+        import repro.core.candidates as candidates_module
+
+        system = build_system(schema, tmp_path / "c.db", "sqlite")
+        system.fit(history)
+        sessions = system.create_sessions(make_users(schema))
+        system.refit(drift_data)
+        cells = [
+            system._fused_cell(
+                session.user_id,
+                t,
+                session.trajectory[t],
+                session.constraints,
+                session.constraints_key,
+                warm=True,
+            )
+            for session in sessions
+            for t in range(len(system.future_models))
+        ]
+        built = []
+
+        class CountingCandidate(candidates_module.Candidate):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(candidates_module, "Candidate", CountingCandidate)
+        results, report = generate_fused(cells)
+        prologue_rows = sum(
+            1 + (0 if cell.warm_start is None else len(cell.warm_start))
+            for cell in cells
+        )
+        assert len(built) <= system.config.k * report.cells + prologue_rows
+        # the searches pooled far more valid rows than were built
+        assert report.search["valid_found"] > 2 * len(built)
+        assert all(
+            isinstance(c, CountingCandidate)
+            for found, _ in results.values()
+            for c in found
+        )
 
 
 class TestCellDedup:
