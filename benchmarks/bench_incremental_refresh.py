@@ -133,7 +133,7 @@ def bench_cold(schema, history, users, new_data, T: int) -> float:
     system.create_sessions(users)
     system.sessions.clear()  # cold path has no incremental machinery
     start = time.perf_counter()
-    system.refresh(new_data)  # the common refit + diff
+    system.refit(new_data)  # the common refit + diff, no recompute
     system.create_sessions(users)  # recompute all cells
     return time.perf_counter() - start
 

@@ -15,20 +15,18 @@ Subcommands
 ``justintime refresh``
     The incremental operator step: ingest new data against a saved
     system + candidate database and recompute only the stale cells.
-``justintime refresh-daemon``
-    The streaming operator: tail an append-only CSV feed and refresh on
-    drift detection (MMD / label shift vs the training history) and/or
-    on a fixed cadence, persisting the refit system after every epoch.
 ``justintime refresh-workers``
     The scale-out operator: refit on new data, then drain the stale
     (user × time-point) cells with N lease-coordinated worker
     *processes* sharing the candidate database.
 ``justintime refresh-orchestrator``
-    The deployable continuous-refresh service: one process that tails
-    the feed, opens drift/cadence-gated epochs, refits, and dispatches
-    a worker pool per epoch — checkpointing (models, feed cursor, store
-    digest) atomically so a killed orchestrator resumes without
-    re-ingesting or double-computing.
+    The streaming operator and deployable continuous-refresh service:
+    one process that tails an append-only CSV feed, opens epochs on
+    drift detection (MMD / label shift vs the training history) and/or
+    a fixed cadence, refits, and dispatches a worker pool per epoch
+    (``--workers 1`` for a single drain process) — checkpointing
+    (models, feed cursor, store digest) atomically so a killed
+    orchestrator resumes without re-ingesting or double-computing.
 ``justintime rebalance``
     The storage operator: migrate a file-backed sharded candidate
     database to a new shard count, digest-invariant and crash-safe
@@ -77,7 +75,6 @@ from repro.core import (
     DriftGate,
     JustInTime,
     RefreshOrchestrator,
-    RefreshScheduler,
     UserSession,
     load_system,
     run_worker_pool,
@@ -110,7 +107,6 @@ __all__ = [
     "run_quickstart",
     "run_rebalance",
     "run_refresh",
-    "run_refresh_daemon",
     "run_refresh_orchestrator",
     "run_refresh_workers",
     "run_serve",
@@ -287,13 +283,13 @@ def run_interactive(
 def _runtime_parents() -> dict[str, argparse.ArgumentParser]:
     """Shared argparse parents for the operator verbs.
 
-    The refresh family (``refresh``, ``refresh-daemon``,
-    ``refresh-workers``, ``refresh-orchestrator``) and ``serve`` used to
-    re-declare the same runtime flags per subparser; each group now
-    lands once here, so a new flag (``--budget``) appears on every verb
-    that composes the parent.  ``--db``/``--db-backend`` deliberately
-    stay root-level only: a subparser copy would clobber the root's
-    parsed value with its default.
+    The refresh family (``refresh``, ``refresh-workers``,
+    ``refresh-orchestrator``) composes its runtime flags from these
+    groups instead of re-declaring them per subparser, so a new flag
+    (``--budget``) appears on every verb that composes the parent.
+    ``--db``/``--db-backend`` deliberately stay root-level only: a
+    subparser copy would clobber the root's parsed value with its
+    default.
     """
     warm = argparse.ArgumentParser(add_help=False)
     warm.add_argument(
@@ -382,8 +378,8 @@ def _runtime_parents() -> dict[str, argparse.ArgumentParser]:
         type=int,
         default=None,
         help="compute budget: recompute at most this many stale cells per"
-        " refresh/epoch, highest-priority users first (unspent budget"
-        " carries over between epochs; default: unlimited)",
+        " refresh/epoch, highest-priority users first (the orchestrator"
+        " carries unspent budget over between epochs; default: unlimited)",
     )
     return {
         "warm": warm,
@@ -451,12 +447,6 @@ def make_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="timestamp of the new samples (default: latest history year)",
-    )
-    sub.add_parser(
-        "refresh-daemon",
-        help="stream an append-only CSV feed; refresh on drift detection"
-        " and/or a fixed cadence",
-        parents=[stream, warm, budget],
     )
     workers = sub.add_parser(
         "refresh-workers",
@@ -671,7 +661,9 @@ def run_refresh(args, out: IO[str] | None = None) -> int:
     resumed = system.resume_sessions()
     new_data, at = _sample_new_arrivals(system, args)
     report = system.refresh(
-        new_data, warm_start=not args.cold, budget=args.budget
+        new_data,
+        warm_start=False if args.cold else None,
+        budget=args.budget,
     )
     # persist the refit models + merged history: the next refresh must
     # start from this state, and stored model_fp stamps must keep
@@ -729,7 +721,7 @@ def _sample_new_arrivals(system, args):
 
 def _format_drift(decision) -> str:
     """Epoch-log suffix describing the gate verdict, '' if unassessed
-    (shared by the daemon's and the orchestrator's epoch reporting)."""
+    (the orchestrator's epoch reporting)."""
     if decision is None or not decision.assessed:
         return ""
     parts = []
@@ -772,94 +764,6 @@ def _load_refreshable_system(args, out: IO[str], verb: str):
         )
         return None
     return system
-
-
-def run_refresh_daemon(args, out: IO[str] | None = None) -> int:
-    """The streaming operator: tail a CSV feed, refresh on drift/cadence.
-
-    Rows appended to ``--feed`` are buffered; a refresh epoch opens when
-    the drift gate fires (``--drift-mmd`` / ``--drift-label-shift``
-    thresholds vs the training history) or ``--cadence`` seconds have
-    elapsed with rows pending.  After every epoch the refit system is
-    saved back to ``--load`` so stored ``model_fp`` stamps keep matching
-    a system that exists on disk (and so worker pools can pick up any
-    remaining stale cells).  The feed's byte offset is checkpointed
-    **inside the same save** (``save_system(..., extra=...)``, one
-    atomic temp-and-rename write) — a restarted daemon resumes *after*
-    the rows already merged into the saved history; two separate files
-    could disagree after a crash and double- or under-ingest the feed.
-    """
-    out = out if out is not None else sys.stdout
-    system = _load_refreshable_system(args, out, "refresh-daemon")
-    if system is None:
-        return 2
-    if (
-        args.cadence is None
-        and args.drift_mmd is None
-        and args.drift_label_shift is None
-    ):
-        out.write(
-            "refresh-daemon needs --cadence and/or a drift threshold"
-            " (--drift-mmd / --drift-label-shift)\n"
-        )
-        return 2
-    resumed = system.resume_sessions()
-    gate = None
-    if args.drift_mmd is not None or args.drift_label_shift is not None:
-        gate = DriftGate(args.drift_mmd, args.drift_label_shift)
-    # the feed cursor rides inside the saved system file — the daemon's
-    # durable state (models+history, feed offset) is one atomic write
-    start_offset = _feed_start_offset(system, args.feed)
-    feed = CsvFeed(args.feed, system.schema, start_offset=start_offset)
-    scheduler = RefreshScheduler(
-        system,
-        feed,
-        gate=gate,
-        cadence=args.cadence,
-        min_batch=args.min_batch,
-        max_pending_rows=args.max_pending,
-        warm_start=False if args.cold else None,
-        budget=args.budget,
-    )
-    out.write(screen_header("Streaming refresh daemon") + "\n")
-    out.write(
-        f"tailing {args.feed} from byte {start_offset};"
-        f" resumed {len(resumed)} stored sessions;"
-        f" gates: drift={'on' if gate else 'off'},"
-        f" cadence={args.cadence}\n"
-    )
-
-    def on_epoch(epoch):
-        # at epoch time every polled row has been merged, so the feed
-        # offset is safe to persist alongside the refit history (the
-        # path binds the cursor to this feed file); merge into the
-        # existing extra so other verbs' state survives
-        extra = dict(system.saved_extra)
-        extra["feed_offset"] = feed.offset
-        extra["feed_path"] = str(Path(args.feed).resolve())
-        system.saved_extra = extra
-        save_system(system, args.load, extra=extra)
-        report = epoch.report
-        out.write(
-            f"epoch {epoch.index}: trigger={epoch.trigger}"
-            f"{_format_drift(epoch.drift)}"
-            f" rows={epoch.rows} stale={list(report.stale_times)}"
-            f" cells={report.cells_recomputed}"
-            f" candidates={report.candidates_written}\n"
-        )
-        out.flush()
-
-    epochs = scheduler.run(
-        max_polls=args.max_polls,
-        max_epochs=args.max_epochs,
-        poll_interval=args.poll_interval,
-        on_epoch=on_epoch,
-    )
-    out.write(
-        f"daemon stopped after {len(epochs)} epochs;"
-        f" {scheduler.pending_rows} rows still pending\n"
-    )
-    return 0
 
 
 def run_refresh_workers(args, out: IO[str] | None = None) -> int:
@@ -924,13 +828,13 @@ def run_refresh_workers(args, out: IO[str] | None = None) -> int:
 
 
 def run_refresh_orchestrator(args, out: IO[str] | None = None) -> int:
-    """The unified service: drift → refit → pool dispatch, kill-safe.
+    """The streaming service: drift → refit → pool dispatch, kill-safe.
 
-    Combines ``refresh-daemon`` and ``refresh-workers`` into the one
-    deployable loop: rows appended to ``--feed`` are buffered, an epoch
-    opens on drift/cadence/pending-cap, the models are refit (marking
-    stored cells stale in the ledger), and ``--workers`` lease-
-    coordinated processes drain the ledger.  The models, merged history
+    The one feed-driven refresh loop: rows appended to ``--feed`` are
+    buffered, an epoch opens on drift/cadence/pending-cap, the models
+    are refit (marking stored cells stale in the ledger), and
+    ``--workers`` lease-coordinated processes drain the ledger —
+    ``--workers 1`` is the single-drain-process deployment.  The models, merged history
     and feed cursor are checkpointed in **one atomic write** before the
     drain and again (with the store digest) after it, so a killed
     orchestrator restarts exactly where it died: no row is re-ingested,
@@ -1379,7 +1283,6 @@ def main(argv: list[str] | None = None) -> int:
         "interactive": run_interactive,
         "admin": run_admin,
         "refresh": run_refresh,
-        "refresh-daemon": run_refresh_daemon,
         "refresh-workers": run_refresh_workers,
         "refresh-orchestrator": run_refresh_orchestrator,
         "orchestrator-status": run_orchestrator_status,

@@ -1,10 +1,9 @@
 """Unified continuous refresh: drift → refit → worker-pool dispatch.
 
-PR 3 shipped the streaming pieces as two separate operator verbs: a
-``refresh-daemon`` that tails a feed and refreshes **inline**, and a
-``refresh-workers`` pool that drains the staleness ledger out of
-process.  The :class:`RefreshOrchestrator` closes that gap — one
-process that runs the whole continuous-refresh loop:
+The :class:`RefreshOrchestrator` is the one feed-tailing refresh
+service (the ``refresh-orchestrator`` verb; ``--workers 1`` runs a
+single drain process) — one process that runs the whole
+continuous-refresh loop:
 
 1. tail a :class:`~repro.data.feed.DataFeed` and buffer arrivals
    (all the :class:`~repro.core.scheduler.RefreshScheduler` machinery:

@@ -8,7 +8,10 @@ except the sqlite connection (the store is re-opened from its own path on
 load, or fresh in-memory when the original was in-memory).
 
 All models are pure numpy/Python objects, so pickling is stable across
-processes with the same library version.
+processes with the same library version.  A save is a durable
+checkpoint (temp file, fsync, rename, directory fsync): the refresh
+verbs and the orchestrator re-save after every refit, and the
+orchestrator's kill-safe resume relies on the last save surviving.
 """
 
 from __future__ import annotations
@@ -40,14 +43,19 @@ def save_system(
 
     ``extra`` is an optional dict of caller state persisted **in the
     same file** and restored as :attr:`JustInTime.saved_extra` — e.g.
-    the refresh daemon's feed byte offset, which must move atomically
-    with the merged history (two separate files could disagree after a
-    crash, double- or under-ingesting the feed).  ``None`` (the
-    default) preserves the system's current :attr:`saved_extra`, so a
-    `refresh`/`refresh-workers` re-save of a daemon-managed system does
-    not wipe the daemon's feed cursor; pass a dict (possibly empty) to
-    replace it.  The payload is written to a temp file and renamed into
-    place, so a crash mid-save leaves the previous save intact.
+    the refresh orchestrator's feed byte offset, which must move
+    atomically with the merged history (two separate files could
+    disagree after a crash, double- or under-ingesting the feed).
+    ``None`` (the default) preserves the system's current
+    :attr:`saved_extra`, so a `refresh`/`refresh-workers` re-save of an
+    orchestrator-managed system does not wipe its feed cursor; pass a
+    dict (possibly empty) to replace it.
+
+    The payload is written to a temp file, fsynced, renamed into place,
+    and the directory is fsynced after the rename: a crash mid-save
+    leaves the previous save intact, and a save that returned survives
+    a power loss (the rename alone is not durable until the directory
+    entry reaches the disk).
     """
     if extra is None:
         extra = getattr(system, "saved_extra", None)
@@ -67,7 +75,15 @@ def save_system(
     tmp = path.with_name(path.name + ".tmp")
     with tmp.open("wb") as handle:
         pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        handle.flush()
+        os.fsync(handle.fileno())
     os.replace(tmp, path)
+    if os.name == "posix":  # a directory cannot be opened for fsync on Windows
+        directory = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
 
 def load_system(

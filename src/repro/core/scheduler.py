@@ -1,10 +1,14 @@
 """Drift-triggered streaming refresh scheduling.
 
-PR 2 made :meth:`~repro.core.system.JustInTime.refresh` incremental; this
-module decides *when* to call it.  A :class:`RefreshScheduler` polls an
-append-only :class:`~repro.data.feed.DataFeed`, buffers arriving rows,
-and opens a **refresh epoch** — one ``refresh()`` call over everything
-buffered — when either
+:meth:`~repro.core.system.JustInTime.refresh` recomputes only the stale
+cells; this module decides *when* to refresh.  A
+:class:`RefreshScheduler` polls an append-only
+:class:`~repro.data.feed.DataFeed`, buffers arriving rows, and opens a
+**refresh epoch** — one executor call over everything buffered
+(``system.refresh`` by default; the
+:class:`~repro.core.orchestrator.RefreshOrchestrator`, which the
+``refresh-orchestrator`` verb runs, substitutes refit + worker-pool
+dispatch) — when either
 
 * a :class:`DriftGate` decides the pending rows have drifted away from
   the training history (MMD on standardised features, or label-shift
@@ -251,20 +255,12 @@ class RefreshScheduler:
     ewma_halflife:
         Half-life, in *batches*, of the ``'ewma'`` weights: a row's
         weight halves every this many batches that arrive after it.
-    budget:
-        Optional per-epoch compute budget, in cells: each inline epoch
-        recomputes at most ``budget + carryover`` cells (highest
-        priority first — see :meth:`JustInTime.refresh`), where the
-        carry-over is the previous epoch's unspent budget, itself capped
-        at one epoch's worth so an idle stretch cannot bank an unbounded
-        burst.  Ignored when an external ``refresh`` executor is
-        injected (the orchestrator runs its own durable budget through
-        the store).
     refresh:
         The epoch executor, ``callable(data, warm_start) -> report``;
         defaults to ``system.refresh``.  The orchestrator substitutes
         refit + worker-pool dispatch here, reusing all the
-        buffering/gating machinery above it.
+        buffering/gating machinery above it, and runs its own durable
+        per-epoch budget through the store.
     """
 
     GATE_MODES = ("merged", "batch", "ewma")
@@ -282,7 +278,6 @@ class RefreshScheduler:
         clock=time.monotonic,
         gate_mode: str = "merged",
         ewma_halflife: float = 2.0,
-        budget: int | None = None,
         refresh=None,
     ):
         if gate is None and cadence is None:
@@ -303,8 +298,6 @@ class RefreshScheduler:
             )
         if ewma_halflife <= 0:
             raise ForecastError("ewma_halflife must be positive")
-        if budget is not None and budget < 1:
-            raise ForecastError("budget must be >= 1 or None")
         self.system = system
         self.feed = feed
         self.gate = gate
@@ -315,10 +308,6 @@ class RefreshScheduler:
         self.clock = clock
         self.gate_mode = gate_mode
         self.ewma_halflife = float(ewma_halflife)
-        self.budget = None if budget is None else int(budget)
-        #: unspent budget carried into the next epoch (capped at one
-        #: epoch's ``budget``)
-        self.carryover = 0
         self._refresh = refresh
         self.epochs: list[RefreshEpoch] = []
         self._pending: list[TemporalDataset] = []
@@ -448,15 +437,7 @@ class RefreshScheduler:
     def _open_epoch(self, trigger: str, decision) -> RefreshEpoch:
         data = TemporalDataset.concat(self._pending)
         if self._refresh is None:
-            if self.budget is None:
-                report = self.system.refresh(data, warm_start=self.warm_start)
-            else:
-                effective = self.budget + self.carryover
-                report = self.system.refresh(
-                    data, warm_start=self.warm_start, budget=effective
-                )
-                spent = int(getattr(report, "cells_recomputed", effective))
-                self.carryover = min(max(0, effective - spent), self.budget)
+            report = self.system.refresh(data, warm_start=self.warm_start)
         else:
             report = self._refresh(data, self.warm_start)
         epoch = RefreshEpoch(
@@ -488,10 +469,11 @@ class RefreshScheduler:
     ) -> list[RefreshEpoch]:
         """Poll until the feed is exhausted or a budget is reached.
 
-        ``on_epoch(epoch)`` is called after every refresh (the CLI daemon
-        persists the refit system there).  With ``flush_on_exhausted`` a
-        finite feed's sub-threshold tail still gets refreshed before the
-        loop ends.  Returns the epochs run during *this* call.
+        ``on_epoch(epoch)`` is called after every refresh (the
+        ``refresh-orchestrator`` verb reports each epoch there).  With
+        ``flush_on_exhausted`` a finite feed's sub-threshold tail still
+        gets refreshed before the loop ends.  Returns the epochs run
+        during *this* call.
         """
         first_epoch = len(self.epochs)
         polls = 0

@@ -14,10 +14,12 @@ Wires the full architecture together:
   them together, deterministically), and stores temporal inputs and
   candidates in the relational store;
 * :meth:`JustInTime.refresh` keeps the service *alive*: as new
-  timestamped data arrives the models are re-forecast, the per-time-point
-  content fingerprints are diffed, and only the stale (user × time-point)
-  cells are recomputed and upserted — registered :class:`UserSession`
-  objects survive and see the updated candidates;
+  timestamped data arrives the models are re-forecast, which leaves the
+  cells of changed models stale in the store ledger, and the claim queue
+  is drained in-process by the worker pool's own loop
+  (:func:`~repro.core.worker.drain_stale_cells`) — only the stale
+  (user × time-point) cells are recomputed and upserted, and registered
+  :class:`UserSession` objects survive and see the updated candidates;
 * the returned :class:`UserSession` exposes the canned-question interface
   and expert SQL passthrough.
 """
@@ -32,11 +34,7 @@ import numpy as np
 
 from repro.constraints.domain import schema_domain_constraints
 from repro.constraints.evaluate import ConstraintsFunction
-from repro.core.candidates import (
-    Candidate,
-    CandidateGenerator,
-    search_counter_totals,
-)
+from repro.core.candidates import Candidate, CandidateGenerator
 from repro.core.fused import FusedCell, generate_fused
 from repro.core.insights import Insight, InsightEngine
 from repro.core.objectives import OBJECTIVE_PRESETS, Objective, get_objective
@@ -140,16 +138,19 @@ class RefreshReport:
     candidates_written: int
     #: whether the beams were warm-started from stored candidates
     warm_start: bool
-    #: ledger-stale cells belonging to users with *no* registered session
+    #: stale cells the refresh's drain claimed but could not compute:
+    #: their user has neither a live session nor a resumable DSL spec
     #: (their stored candidates stay outdated until the session is
-    #: resumed — alert on this)
+    #: recreated — alert on this); on a budgeted refresh only the cells
+    #: the budget reached are counted, the rest are deferred
     skipped_stale_cells: int = 0
     #: summed per-cell search counters (iterations, proposals_evaluated,
     #: dedupe_hits, cache_hits, cache_misses, ...) of the recompute —
     #: the drain-efficiency view; ``None`` when nothing was recomputed
     search: dict | None = None
-    #: stale cells a refresh ``budget`` deferred to a later epoch (they
-    #: stay stale in the ledger); 0 on unbudgeted refreshes
+    #: stale cells left in the ledger after the drain, minus the skipped
+    #: ones: the cells a refresh ``budget`` deferred to a later epoch;
+    #: 0 on unbudgeted refreshes
     deferred_cells: int = 0
     #: post-refresh :meth:`CandidateStore.traffic_weighted_freshness`
     #: snapshot — only populated on budgeted refreshes (the scan is
@@ -206,7 +207,7 @@ class JustInTime:
         self.sessions: dict[str, UserSession] = {}
         self._history: TemporalDataset | None = None
         #: caller state restored by :func:`load_system` (e.g. the refresh
-        #: daemon's feed cursor, persisted atomically with the history)
+        #: orchestrator's feed cursor, persisted atomically with the history)
         self.saved_extra: dict = {}
 
     # ----------------------------------------------------------------- fit
@@ -477,18 +478,37 @@ class JustInTime:
         (user × time-point) cell is wasteful when most models did not
         actually change, so refresh:
 
-        1. refits the future models on ``history + new_data`` (same
-           seeds, same ``now`` unless overridden);
-        2. diffs per-time-point content fingerprints against the previous
-           models, and adds any individual cells the store ledger marks
-           stale (per-cell invalidations via ``clear_user``, rows
-           stamped under an older model);
-        3. recomputes only those (user, t) cells of every registered
-           session in one fused multi-cell search — warm-starting each
-           beam from the user's previously stored candidates unless
+        1. refits the future models on ``history + new_data``
+           (:meth:`refit`: same seeds, same ``now`` unless overridden),
+           which leaves every cell stamped under a changed model
+           fingerprint stale in the store ledger, alongside cells
+           invalidated with ``clear_user(uid, time=t)``;
+        2. re-stamps the whole horizon of any live session that has no
+           ledger rows (``clear_user(uid)`` ran while it stayed live)
+           with the empty fingerprint, so those cells are stale too and
+           the store is restored;
+        3. drains the store's claim queue in this process with
+           :func:`~repro.core.worker.drain_stale_cells` — the worker
+           pool's own loop, claiming every stale cell in one batch and
+           computing it in one fused multi-cell search, each beam
+           warm-started from the cell's stored candidates unless
            disabled;
-        4. writes all recomputed cells back in one bulk upsert
-           transaction, leaving untouched cells' rows byte-identical.
+        4. writes the recomputed cells back in one grouped upsert,
+           leaving untouched cells' rows byte-identical, and reloads the
+           candidates of every live session the drain touched (a
+           session's ``search_stats`` stay those of the search that
+           created it; the recompute's counters are summed in
+           :attr:`RefreshReport.search`).
+
+        Every stale cell the drain can compute is recomputed, not only
+        those of live sessions: a cell is computable when its user has
+        a live session (its trajectory and constraints are used, opaque
+        :class:`ConstraintsFunction` ones included) or a resumable DSL
+        spec in the store.  The stale cells with neither are reported as
+        ``skipped_stale_cells`` and stay stale.  The drain takes leases
+        like any worker: a cell leased to a live worker is waited for
+        instead of being computed twice, and a dead worker's lease
+        delays its cell until the lease expires (30 s).
 
         ``new_data`` is merged into the fit-time history; alternatively
         pass a complete ``history``.  ``warm_start`` overrides
@@ -497,134 +517,51 @@ class JustInTime:
         recompute.  The fit-time ``diff_scale`` is intentionally kept so
         stored ``diff`` values stay comparable across refreshes.
 
-        ``budget`` caps the recompute at that many cells, **highest
-        priority first** (the store's ``user_priority`` scores, ties in
-        the deterministic (user, time) claim order); the cells beyond
-        the budget keep their old ledger fingerprints, stay stale, and
-        are reported as ``deferred_cells`` — the next refresh (or a
-        worker drain) picks them up.  ``None`` (the default) recomputes
-        everything, unchanged from before.
+        ``budget`` caps the recompute at that many claimed cells, in
+        claim order: SLA-escalated cells first, then the store's
+        ``user_priority`` scores (highest first), then (user, time).  It
+        arms the store's durable budget row, as ``refresh-workers``
+        does; the cells beyond it keep their old ledger fingerprints,
+        stay stale, and are reported as ``deferred_cells`` — the next
+        refresh (or a worker drain) picks them up.  ``None`` (the
+        default) clears any leftover budget row and recomputes
+        everything.
         """
-        cfg = self.config
-        stale = self.refit(new_data, now=now, history=history)
-        fresh = tuple(t for t in range(len(self.future_models)) if t not in stale)
-        warm = bool(cfg.warm_start if warm_start is None else warm_start)
-        sessions = list(self.sessions.values())
-        # cells to recompute: every registered session at each model-stale
-        # time point, plus individual cells the store ledger marks stale
-        # (clear_user(uid, time=t) invalidations, rows written under an
-        # older model than the one loaded)
-        cell_times: dict[str, set[int]] = {
-            session.user_id: set(stale) for session in sessions
-        }
-        fingerprints = self.model_fingerprints
-        ledger = self.store.ledger_snapshot()  # one scan serves both loops
-        skipped = 0
-        for user_id, cells in ledger.items():
-            for t, fp in cells.items():
-                if t not in fingerprints or fp == (fingerprints[t] or ""):
-                    continue
-                if user_id in cell_times and 0 <= t < len(self.future_models):
-                    cell_times[user_id].add(t)
-                else:
-                    # stored cells of users without a live session: they
-                    # stay stale until resumed — surfaced, never silently
-                    # dropped
-                    skipped += 1
-        horizon = set(range(len(self.future_models)))
-        for session in sessions:
-            # cells absent from the ledger entirely (the user's rows were
-            # cleared while the session stayed live) have no fingerprint
-            # to mismatch — treat them as stale so the store is restored
-            cell_times[session.user_id] |= horizon - set(
-                ledger.get(session.user_id, ())
-            )
-        deferred = 0
         if budget is not None:
             budget = int(budget)
             if budget < 0:
                 raise ForecastError("budget must be >= 0 or None")
-            flat = [
-                (user_id, t)
-                for user_id, times in cell_times.items()
-                for t in times
-            ]
-            if len(flat) > budget:
-                scores = self.store.user_priorities()
-                flat.sort(
-                    key=lambda cell: (
-                        -scores.get(cell[0], 0.0), cell[0], cell[1]
-                    )
-                )
-                deferred = len(flat) - budget
-                kept: dict[str, set[int]] = {
-                    user_id: set() for user_id in cell_times
-                }
-                for user_id, t in flat[:budget]:
-                    kept[user_id].add(t)
-                cell_times = kept
-        if not sessions or not any(cell_times.values()):
-            return RefreshReport(
-                tuple(stale), fresh, len(sessions), 0, 0, warm, skipped,
-                deferred_cells=deferred,
-                freshness=(
-                    self.store.traffic_weighted_freshness(fingerprints)
-                    if budget is not None
-                    else None
-                ),
-            )
+        # imported here: worker imports persistence, which imports this
+        # module
+        from repro.core.worker import drain_stale_cells
 
-        # warm seeds are read as the cells are built, before any write
-        cells = [
-            self._fused_cell(
-                session.user_id,
-                t,
-                session.trajectory[t],
-                session.constraints,
-                session.constraints_key,
-                warm=warm,
-            )
-            for session in sessions
-            for t in sorted(cell_times[session.user_id])
-        ]
-        outcome, _ = generate_fused(cells)
-        written = self.store.upsert_cells(
-            [
-                (*cell.cell_id, outcome[cell.cell_id][0], cell.x_base)
-                for cell in cells
-            ],
-            fingerprints=fingerprints,
+        stale = self.refit(new_data, now=now, history=history)
+        fresh = tuple(t for t in range(len(self.future_models)) if t not in stale)
+        warm = bool(self.config.warm_start if warm_start is None else warm_start)
+        stored = set(self.store.user_ids())
+        for user_id, session in self.sessions.items():
+            if user_id not in stored:
+                # rows without a fingerprint: the whole horizon is stale
+                self.store.store_temporal_inputs(user_id, session.trajectory)
+        self.store.set_refresh_budget(budget)
+        fingerprints = self.model_fingerprints
+        n_stale = len(self.store.stale_cells(fingerprints))
+        drained = drain_stale_cells(
+            self, warm_start=warm, claim_batch=max(n_stale, 1)
         )
-
-        for session in sessions:
-            by_time = {
-                t: outcome[(session.user_id, t)]
-                for t in cell_times[session.user_id]
-            }
-            rebuilt: list[Candidate] = []
-            for t in range(len(self.future_models)):
-                if t in by_time:
-                    rebuilt.extend(by_time[t][0])
-                else:
-                    rebuilt.extend(c for c in session.candidates if c.time == t)
-            session.candidates = rebuilt
-            if by_time:
-                # resumed sessions start with empty stats; pad so the
-                # recompute's diagnostics are recorded either way
-                while len(session.search_stats) < len(self.future_models):
-                    session.search_stats.append(None)
-                for t, (_, search_stats) in by_time.items():
-                    session.search_stats[t] = search_stats
+        for user_id in self.sessions.keys() & {u for u, _ in drained.cells}:
+            self.sessions[user_id].candidates = self.store.load_candidates(user_id)
+        skipped = len(drained.skipped_cells)
         return RefreshReport(
             tuple(stale),
             fresh,
-            len(sessions),
-            len(cells),
-            written,
+            len(self.sessions),
+            len(drained.cells),
+            drained.candidates_written,
             warm,
             skipped,
-            search=search_counter_totals(stats for _, stats in outcome.values()),
-            deferred_cells=deferred,
+            search=drained.search if drained.cells else None,
+            deferred_cells=len(self.store.stale_cells(fingerprints)) - skipped,
             freshness=(
                 self.store.traffic_weighted_freshness(fingerprints)
                 if budget is not None

@@ -1,9 +1,11 @@
 """Lease-coordinated refresh workers: drain stale cells across processes.
 
-:meth:`JustInTime.refresh` recomputes stale cells inline; at service
-scale the recompute is the expensive part (one beam search per stale
-(user × time-point) cell), and the cells are embarrassingly parallel.
-This module turns the store's staleness ledger into a **work queue**:
+At service scale the recompute is the expensive part of a refresh (one
+beam search per stale (user × time-point) cell), and the cells are
+embarrassingly parallel.  This module turns the store's staleness
+ledger into a **work queue**, and :func:`drain_stale_cells` is the one
+loop that recomputes stale cells — :meth:`JustInTime.refresh` runs it
+in-process, a worker pool runs it in N processes:
 
 1. the coordinator refits the models (:meth:`JustInTime.refit`) and
    saves the system — every stored cell stamped under an old fingerprint
@@ -20,8 +22,8 @@ This module turns the store's staleness ledger into a **work queue**:
    computed twice while a lease is live.
 
 Every cell's recompute is deterministic (per-t seeds, spec-rehydrated
-constraints), so the final store contents are **byte-identical** to a
-single-process ``refresh()`` no matter how cells were distributed —
+constraints), so the final store contents are **byte-identical** to an
+in-process ``refresh()`` no matter how cells were distributed —
 ``CandidateStore.contents_digest`` asserts exactly that in the tests,
 the CI smoke and ``benchmarks/bench_streaming_refresh.py``.
 """
@@ -54,9 +56,10 @@ class WorkerReport:
     cells: list = field(default_factory=list)
     #: candidate rows this worker upserted
     candidates_written: int = 0
-    #: stale cells claimed but not computable by anyone — no persisted
-    #: session spec, or opaque (non-serialised) constraints; released
-    #: and excluded from this worker's further claims
+    #: stale cells claimed but not computable by this worker — no live
+    #: session in its system, and no persisted session spec or one with
+    #: opaque (non-serialised) constraints; released and excluded from
+    #: this worker's further claims
     skipped_cells: list = field(default_factory=list)
     #: claims whose lease had already expired and been taken over by
     #: another worker before the compute started (crash-recovery path)
@@ -102,11 +105,15 @@ def drain_stale_cells(
 
     ``system`` is a fitted :class:`~repro.core.system.JustInTime` whose
     store is (typically) shared with other workers.  Cells are claimed
-    in small batches under ``lease_seconds`` leases and recomputed from
-    the *persisted* session specs — profile and DSL constraint texts —
-    so a worker process needs no live :class:`UserSession` objects.
-    Users without a resumable spec are skipped (released + reported),
-    mirroring :meth:`JustInTime.resume_sessions`.
+    in small batches under ``lease_seconds`` leases.  A user's cells are
+    built from the system's live :class:`UserSession` when it has one
+    (trajectory, constraints and ``constraints_key`` — opaque
+    constraints included; this is the in-process :meth:`JustInTime.refresh`
+    path), and otherwise from the *persisted* session spec — profile and
+    DSL constraint texts — so a worker process, which loads its system
+    with no sessions, needs no live objects.  Users with neither are
+    skipped (released + reported), mirroring
+    :meth:`JustInTime.resume_sessions`.
 
     ``warm_start`` overrides :attr:`AdminConfig.warm_start`; the
     bit-identical-to-``refresh()`` reference path is ``warm_start=False``
@@ -179,14 +186,16 @@ def drain_stale_cells(
     unrecoverable: set[tuple[str, int]] = set()
 
     def prepare(user_id: str, t: int) -> bool:
-        """Spec-check + lease renewal + per-user hydration for one claim.
+        """Source check + lease renewal + per-user hydration for one
+        claim.
 
         Returns ``True`` when the cell is ready to compute; skip/lost
         bookkeeping already done otherwise.
         """
+        session = system.sessions.get(user_id)
         spec = specs.get(user_id)
-        if spec is None or spec[1] is None:
-            # not recomputable by any worker: hand the lease back and
+        if session is None and (spec is None or spec[1] is None):
+            # not recomputable by this worker: hand the lease back and
             # never claim the cell again (it stays stale until the
             # user's session is recreated — surfaced, like refresh's
             # skipped_stale_cells)
@@ -206,12 +215,17 @@ def drain_stale_cells(
             report.lost_leases += 1
             return False
         if user_id not in trajectories:
-            profile, texts = spec
-            trajectories[user_id] = system.update_function.trajectory(
-                profile, cfg.T
-            )
-            constraints[user_id] = system._join_constraints(texts)
-            constraint_keys[user_id] = system._constraints_cache_key(texts)
+            if session is not None:
+                trajectories[user_id] = session.trajectory
+                constraints[user_id] = session.constraints
+                constraint_keys[user_id] = session.constraints_key
+            else:
+                profile, texts = spec
+                trajectories[user_id] = system.update_function.trajectory(
+                    profile, cfg.T
+                )
+                constraints[user_id] = system._join_constraints(texts)
+                constraint_keys[user_id] = system._constraints_cache_key(texts)
         return True
 
     while True:

@@ -12,7 +12,7 @@ loop — a pollable source of new labeled rows.  Two sources are provided:
     Tails an append-only CSV file in the :mod:`repro.data.io` format.
     Each poll parses only the bytes appended since the previous poll, so
     an external producer can keep ``cat``-ing labeled rows onto the file
-    while a refresh daemon polls it.  A partially written final line
+    while the refresh orchestrator polls it.  A partially written final line
     (producer mid-``write``) is left in the file for the next poll
     rather than half-parsed.
 
@@ -57,7 +57,7 @@ class DataFeed:
         """Durable resume cursor for this feed, or ``None`` if the feed
         cannot resume (scripted iterators).  For :class:`CsvFeed` this
         is the byte :attr:`~CsvFeed.offset`; consumers (the refresh
-        daemon, the orchestrator) persist it atomically with the state
+        orchestrator) persist it atomically with the state
         the polled rows were merged into, and pass it back as
         ``start_offset`` after a restart."""
         return None
@@ -101,7 +101,7 @@ class CsvFeed(DataFeed):
     lines.  The file not existing yet simply means no data so far.
 
     ``start_offset`` resumes a previous feed position (see
-    :attr:`offset`) — a restarted daemon passes its checkpointed offset
+    :attr:`offset`) — a restarted orchestrator passes its checkpointed offset
     so already-ingested rows are not re-read and double-merged into the
     training history.  The header is re-parsed from the file at
     construction in that case.

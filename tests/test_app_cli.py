@@ -73,11 +73,6 @@ class TestParser:
         parser = make_parser()
         refresh = parser.parse_args(["refresh", "--budget", "5", "--cold"])
         assert refresh.budget == 5 and refresh.cold is True
-        daemon = parser.parse_args(
-            ["refresh-daemon", "--feed", "f.csv", "--cadence", "1",
-             "--budget", "3"]
-        )
-        assert daemon.budget == 3 and daemon.cold is False
         workers = parser.parse_args(["refresh-workers", "--budget", "7"])
         assert workers.budget == 7
         orch = parser.parse_args(
@@ -101,6 +96,16 @@ class TestParser:
                 make_parser().parse_args([*verb, "--engine", "fused"])
             assert exc.value.code == 2
         assert "--engine" in capsys.readouterr().err
+
+    def test_refresh_daemon_verb_is_gone(self, capsys):
+        """One feed-tailing verb: ``refresh-orchestrator --workers 1``
+        runs the loop the ``refresh-daemon`` verb ran."""
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args(
+                ["refresh-daemon", "--feed", "f.csv", "--cadence", "1"]
+            )
+        assert exc.value.code == 2
+        assert "invalid choice: 'refresh-daemon'" in capsys.readouterr().err
 
     def test_budget_defaults_to_unlimited(self):
         args = make_parser().parse_args(["refresh"])

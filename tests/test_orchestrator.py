@@ -437,6 +437,14 @@ class TestOrchestratorCli:
         out = capsys.readouterr().out
         assert f"from byte {feed.stat().st_size}" in out
         assert "orchestrator stopped after 0 epochs" in out
+        # interleaving another operator verb must not wipe the
+        # orchestrator's feed cursor from the shared save file
+        assert main(["--load", str(pkl), "--db", str(db), "refresh",
+                     "--new-n", "20", "--cold"]) == 0
+        assert (
+            load_system(pkl).saved_extra["feed_offset"]
+            == feed.stat().st_size
+        )
 
     def test_switching_feed_files_resets_the_cursor(
         self, schema, history, tmp_path, capsys

@@ -1,5 +1,8 @@
 """Tests for system persistence and the admin CLI flow."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -73,6 +76,32 @@ class TestSaveLoad:
             pickle.dump({"version": 99}, handle)
         with pytest.raises(StorageError, match="version"):
             load_system(path)
+
+    @pytest.mark.skipif(os.name != "posix", reason="directory fsync is POSIX")
+    def test_save_fsyncs_file_then_renames_then_fsyncs_directory(
+        self, trained, tmp_path, monkeypatch
+    ):
+        """A checkpoint is durable: the temp file's bytes reach the disk
+        before the rename publishes it, and the rename itself (a
+        directory entry) before ``save_system`` returns."""
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            calls.append(f"fsync {kind}")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = tmp_path / "system.pkl"
+        save_system(trained, path)
+        assert calls == ["fsync file", "replace", "fsync dir"]
+        assert load_system(path).time_values == trained.time_values
 
 
 class TestAdminCli:

@@ -287,6 +287,85 @@ class TestRefreshCorrectness:
             system.store.load_candidates("u2"),
         )
 
+    def test_budgeted_refresh_drains_highest_priority_first(
+        self, schema, history, drift_data
+    ):
+        """``budget`` is spent in the claim queue's order (priority, then
+        user); the rest stays stale as ``deferred_cells`` until the next
+        refresh, which ends where one unbudgeted refresh does."""
+        users = [
+            (f"u{i}", {**john_profile(), "annual_income": 55_000.0 + 2_000.0 * i})
+            for i in range(4)
+        ]
+        one_shot = build_system(schema).fit(history)
+        one_shot.create_sessions(users)
+        one_shot.refresh(drift_data, warm_start=False)
+
+        system = build_system(schema).fit(history)
+        system.create_sessions(users)
+        system.store.set_user_priorities({"u2": 5.0, "u0": 3.0, "u3": 1.0})
+        report = system.refresh(drift_data, warm_start=False, budget=2)
+        assert report.cells_recomputed == 2
+        assert report.deferred_cells == 2
+        assert report.freshness is not None
+        assert system.store.stale_cells(system.model_fingerprints) == [
+            ("u1", DRIFT_T),
+            ("u3", DRIFT_T),
+        ]
+        rest = system.refresh(warm_start=False)
+        assert rest.stale_times == ()
+        assert (rest.cells_recomputed, rest.deferred_cells) == (2, 0)
+        assert (
+            system.store.contents_digest() == one_shot.store.contents_digest()
+        )
+
+    def test_refresh_recomputes_a_live_opaque_session(
+        self, schema, history, drift_data
+    ):
+        """A live session with opaque constraints has no resumable spec;
+        refresh recomputes its cell from the live session, under its
+        own constraints."""
+        from repro.constraints.evaluate import ConstraintsFunction
+
+        system = build_system(schema).fit(history)
+        opaque = ConstraintsFunction(schema)
+        opaque.add("gap <= 2")
+        session = system.create_session(
+            "u1", john_profile(), user_constraints=opaque
+        )
+        report = system.refresh(drift_data, warm_start=False)
+        assert report.stale_times == (DRIFT_T,)
+        assert report.cells_recomputed == 1
+        assert report.skipped_stale_cells == 0
+        drifted = [c for c in session.candidates if c.time == DRIFT_T]
+        assert drifted
+        for c in drifted:
+            assert c.gap <= 2
+            assert session.constraints.is_valid(
+                c.x,
+                session.trajectory[c.time],
+                confidence=c.confidence,
+                time=c.time,
+            )
+
+    def test_refresh_recomputes_resumable_users_without_live_sessions(
+        self, schema, history, drift_data
+    ):
+        """Every computable stale cell is recomputed: a stored user with
+        a resumable DSL spec needs no live session."""
+        live = build_system(schema).fit(history)
+        live.create_sessions(USERS)
+        live.refresh(drift_data, warm_start=False)
+
+        system = build_system(schema).fit(history)
+        system.create_sessions(USERS)
+        system.sessions.clear()
+        report = system.refresh(drift_data, warm_start=False)
+        assert report.n_users == 0
+        assert report.cells_recomputed == len(USERS)
+        assert report.skipped_stale_cells == 0
+        assert system.store.contents_digest() == live.store.contents_digest()
+
     def test_refresh_requires_history(self, schema, history):
         system = build_system(schema).fit(history)
         system._history = None  # simulate a pre-v2 load
@@ -509,6 +588,46 @@ class TestRefreshCli:
         batch1 = first.X[n_before:]
         batch2 = second.X[n_before + 40 :]
         assert not np.array_equal(batch1, batch2)
+
+    def test_refresh_verb_honours_a_saved_cold_config(
+        self, schema, history, tmp_path, capsys
+    ):
+        """Without ``--cold`` both verbs take warm start from the saved
+        ``AdminConfig``: on replicas of one saved state, ``refresh`` and
+        ``refresh-workers`` draw the same stream and end on the same
+        store digest."""
+        import shutil
+
+        from repro.app.cli import main
+
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        system = JustInTime(
+            schema,
+            lending_update_function(schema),
+            AdminConfig(
+                T=2, strategy="last", k=4, max_iter=8, warm_start=False
+            ),
+            domain_constraints=lending_domain_constraints(schema),
+            store_path=a / "cands.db",
+        )
+        system.fit(history)
+        system.create_sessions(USERS)
+        save_system(system, a / "sys.pkl")
+        system.store.close()
+        for name in ("sys.pkl", "cands.db"):
+            shutil.copy(a / name, b / name)
+        assert main(["--load", str(a / "sys.pkl"), "--db",
+                     str(a / "cands.db"), "refresh", "--new-n", "20"]) == 0
+        assert main(["--load", str(b / "sys.pkl"), "--db",
+                     str(b / "cands.db"), "refresh-workers", "--new-n", "20",
+                     "--workers", "1"]) == 0
+        out = capsys.readouterr().out
+        workers_digest = out.split("store digest: ")[1].split()[0]
+        refreshed = load_system(a / "sys.pkl", store_path=a / "cands.db")
+        assert refreshed.store.contents_digest() == workers_digest
+        refreshed.store.close()
 
     def test_refresh_requires_load_and_db(self, capsys):
         from repro.app.cli import main

@@ -1,4 +1,4 @@
-"""Streaming refresh subsystem tests: feeds, drift gate, scheduler, CLI.
+"""Streaming refresh subsystem tests: feeds, drift gate, scheduler.
 
 The core equivalence property: a stream consumed over several scheduler
 epochs leaves the store byte-identical to one refresh over the whole
@@ -483,87 +483,3 @@ class TestGateModes:
         with pytest.raises(ForecastError, match="non-negative"):
             gate.assess(history, batch, weights=np.full(25, -1.0))
 
-
-class TestDaemonCli:
-    def test_daemon_over_csv_feed(self, schema, history, tmp_path, capsys):
-        from repro.app.cli import main
-
-        pkl = tmp_path / "sys.pkl"
-        db = tmp_path / "cands.db"
-        feed = tmp_path / "feed.csv"
-        assert main(
-            ["--n-per-year", "60", "--horizon", "1", "--db", str(db),
-             "admin", "--save", str(pkl)]
-        ) == 0
-        assert main(["--load", str(pkl), "--db", str(db), "quickstart"]) == 0
-        save_csv(make_batch(schema, history, 30, year_offset=0.5), feed)
-        capsys.readouterr()
-        assert main(
-            ["--load", str(pkl), "--db", str(db), "refresh-daemon",
-             "--feed", str(feed), "--cadence", "0", "--poll-interval", "0",
-             "--max-polls", "3", "--cold"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "epoch 0: trigger=cadence rows=30" in out
-        assert "daemon stopped after 1 epochs" in out
-
-    def test_daemon_restart_does_not_reingest(
-        self, schema, history, tmp_path, capsys
-    ):
-        """The feed offset is persisted inside the saved-system file
-        (atomically with the merged history): a restarted daemon resumes
-        after the already-merged rows instead of double-weighting them
-        into the history."""
-        from repro.app.cli import main
-        from repro.core import load_system
-
-        pkl = tmp_path / "sys.pkl"
-        db = tmp_path / "cands.db"
-        feed = tmp_path / "feed.csv"
-        main(["--n-per-year", "60", "--horizon", "1", "--db", str(db),
-              "admin", "--save", str(pkl)])
-        main(["--load", str(pkl), "--db", str(db), "quickstart"])
-        save_csv(make_batch(schema, history, 30, year_offset=0.5), feed)
-        daemon_args = ["--load", str(pkl), "--db", str(db),
-                       "refresh-daemon", "--feed", str(feed),
-                       "--cadence", "0", "--poll-interval", "0",
-                       "--max-polls", "2", "--cold"]
-        assert main(daemon_args) == 0
-        reloaded = load_system(pkl)
-        assert reloaded.saved_extra["feed_offset"] == feed.stat().st_size
-        n_after_first = len(reloaded._history)
-        capsys.readouterr()
-        # restart with no new feed rows: nothing to ingest
-        assert main(daemon_args) == 0
-        out = capsys.readouterr().out
-        assert f"from byte {feed.stat().st_size}" in out
-        assert "daemon stopped after 0 epochs" in out
-        assert len(load_system(pkl)._history) == n_after_first
-        # interleaving another operator verb must not wipe the daemon's
-        # feed cursor from the shared save file
-        assert main(["--load", str(pkl), "--db", str(db), "refresh",
-                     "--new-n", "20", "--cold"]) == 0
-        assert (
-            load_system(pkl).saved_extra["feed_offset"]
-            == feed.stat().st_size
-        )
-
-    def test_daemon_requires_some_gate(self, tmp_path, capsys):
-        from repro.app.cli import main
-
-        pkl = tmp_path / "sys.pkl"
-        db = tmp_path / "cands.db"
-        main(["--n-per-year", "60", "--horizon", "1", "--db", str(db),
-              "admin", "--save", str(pkl)])
-        capsys.readouterr()
-        assert main(
-            ["--load", str(pkl), "--db", str(db), "refresh-daemon",
-             "--feed", str(tmp_path / "feed.csv")]
-        ) == 2
-        assert "--cadence" in capsys.readouterr().out
-
-    def test_daemon_requires_load_and_db(self, capsys):
-        from repro.app.cli import main
-
-        assert main(["refresh-daemon", "--feed", "x.csv"]) == 2
-        assert "--load" in capsys.readouterr().out

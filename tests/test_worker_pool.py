@@ -160,6 +160,8 @@ class TestDrain:
         opaque.add("gap <= 3")
         system.create_session("ghost", john_profile(), user_constraints=opaque)
         system.refit(drift_data)
+        # a worker process loads its system with no live sessions
+        system.sessions.clear()
         report = drain_stale_cells(system, warm_start=False)
         assert ("ghost", DRIFT_T) in report.skipped_cells
         assert ("ghost", DRIFT_T) in system.store.stale_cells(
