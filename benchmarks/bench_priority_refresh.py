@@ -214,7 +214,7 @@ def _drain_budgeted(store, fresh_fps, budget):
         if not cells:
             break
         for user, t in cells:
-            conn, prefix = store._write_target(store._db_for(user))
+            conn, prefix = store.backend.conn, store._db_for(user)
             with conn:
                 conn.execute(
                     f"UPDATE {prefix}.temporal_inputs SET model_fp = {ph},"

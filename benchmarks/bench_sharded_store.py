@@ -1,14 +1,13 @@
-"""Sharded-store write path: parallel per-shard commits and rebalancing.
+"""Sharded-store write path: router transactions and rebalancing.
 
 Three questions the storage layer must answer with numbers:
 
 1. **Write scaling** — the same bulk workload (multi-user
    ``store_sessions`` ingest + full ``upsert_cells`` write-back)
-   against 1/2/4 shards, serial single-transaction path vs the
-   parallel per-shard path (dedicated connection per shard, two-phase
-   group commit across shards).  Identity is asserted before any
-   timing: every configuration's ``contents_digest()`` must be
-   byte-identical.
+   against 1/2/4 shards, each batch one router transaction (SQLite's
+   multi-database commit when it spans shards).  Identity is asserted
+   before any timing: every shard count's ``contents_digest()`` must
+   be byte-identical.
 2. **Concurrent writers** — N threads, each with its *own* store
    connection, interleaving claim → upsert → release over a shared
    sharded store with shard affinity; the drained store must equal the
@@ -22,11 +21,9 @@ Run as a script (not via pytest)::
         [--quick] [--smoke] [--json PATH]
 
 ``--quick`` shrinks the workload for CI; ``--smoke`` runs only the
-identity + crash-recovery assertions (CI's shard-stress step);
-``--json`` writes timings for artifact upload.  Parallel-commit
-speedup needs real cores (sqlite3 releases the GIL inside each shard's
-transaction): the script reports core availability so a 1-core
-container result is interpretable.
+identity assertions (CI's shard-stress step); ``--json`` writes
+timings for artifact upload.  The script reports the cores available,
+since concurrent writers on distinct shards overlap only on real cores.
 """
 
 from __future__ import annotations
@@ -97,7 +94,7 @@ def ingest(store, sessions) -> float:
 
 def writeback(store, schema, sessions, T: int, k: int) -> float:
     """Full upsert pass: every cell recomputed, one bulk call (the
-    refresh write-back shape; spans every shard → group commit)."""
+    refresh write-back shape; spans every shard → one multi-database commit)."""
     cells = [
         (uid, t, cell_candidates(schema, uid, t, k))
         for uid, _, _ in sessions
@@ -154,85 +151,48 @@ def drain_threads(schema, path, n_writers: int, claim_batch: int = 4) -> float:
     return elapsed
 
 
-def build_store(schema, path, n_shards, sessions, parallel=None) -> str:
+def build_store(schema, path, n_shards, sessions) -> str:
     with CandidateStore(
-        schema, path, backend="sharded", n_shards=n_shards,
-        parallel_writes=parallel,
+        schema, path, backend="sharded", n_shards=n_shards
     ) as store:
         store.store_sessions(sessions, fingerprints=FPS_OLD)
         return store.contents_digest()
 
 
+SHARD_COUNTS = (1, 2, 4)
+
+
 def run_identity(tmp: Path, schema, sessions, T: int, k: int) -> str:
-    """Parallel path byte-identical to serial, including after a
-    kill between phase 1 and phase 2 of a group commit."""
+    """Ingest + write-back give one digest at every shard count, and
+    rebalancing leaves it unchanged."""
     digests = {}
-    for label, parallel in (("serial", False), ("parallel", True)):
-        path = tmp / f"id-{label}.db"
+    for n_shards in SHARD_COUNTS:
+        path = tmp / f"id-{n_shards}shard.db"
         with CandidateStore(
-            schema, path, backend="sharded", n_shards=4,
-            parallel_writes=parallel,
+            schema, path, backend="sharded", n_shards=n_shards
         ) as store:
             store.store_sessions(sessions, fingerprints=FPS_OLD)
             writeback(store, schema, sessions, T, k)
-            digests[label] = store.contents_digest()
-    assert digests["serial"] == digests["parallel"], (
-        "parallel per-shard write path diverged from the serial path"
+            digests[n_shards] = store.contents_digest()
+    assert len(set(digests.values())) == 1, (
+        f"write path diverged across shard counts: {digests}"
     )
-
-    # crash-recovery: kill the writer after its first prepared shard,
-    # reopen (recovery rolls the half-committed group back), redo
-    class Killed(RuntimeError):
-        pass
-
-    def hook(stage: str) -> None:
-        if stage.startswith("prepared:"):
-            raise Killed(stage)
-
-    path = tmp / "id-crash.db"
-    pre = build_store(schema, path, 4, sessions)
-    store = CandidateStore(schema, path)
-    store.txn_grace_seconds = 0.0
-    store.txn_fault_hook = hook
-    try:
-        writeback(store, schema, sessions, T, k)
-        raise AssertionError("fault hook never fired")
-    except Killed:
-        pass
-    store.txn_fault_hook = None
-    store.close()
-    with CandidateStore(schema, path) as recovered:
-        assert recovered.contents_digest() == pre, (
-            "kill between commit phases did not roll back cleanly"
-        )
-        writeback(recovered, schema, sessions, T, k)
-        assert recovered.contents_digest() == digests["parallel"], (
-            "post-recovery redo diverged from the uninterrupted run"
-        )
-    # rebalance identity rides in the smoke too
-    with CandidateStore(schema, path) as store:
-        before = store.contents_digest()
+    with CandidateStore(schema, tmp / "id-4shard.db") as store:
         store.rebalance(2)
-        assert store.contents_digest() == before
+        assert store.contents_digest() == digests[4]
         store.rebalance(6)
-        assert store.contents_digest() == before
-    return digests["parallel"]
+        assert store.contents_digest() == digests[4]
+    return digests[4]
 
 
 def run_scaling(tmp: Path, schema, sessions, T: int, k: int) -> dict:
     timings: dict = {}
     reference = None
-    for n_shards, parallel, label in (
-        (1, False, "serial_1shard"),
-        (4, False, "serial_4shard"),
-        (1, None, "parallel_1shard"),
-        (2, None, "parallel_2shard"),
-        (4, None, "parallel_4shard"),
-    ):
+    for n_shards in SHARD_COUNTS:
+        label = f"{n_shards}shard"
         path = tmp / f"scale-{label}.db"
         with CandidateStore(
-            schema, path, backend="sharded", n_shards=n_shards,
-            parallel_writes=parallel,
+            schema, path, backend="sharded", n_shards=n_shards
         ) as store:
             timings[f"ingest_{label}"] = ingest(store, sessions)
             timings[f"writeback_{label}"] = writeback(
@@ -287,7 +247,7 @@ def main() -> None:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="identity + crash-recovery assertions only (fast)",
+        help="identity assertions only (fast)",
     )
     parser.add_argument("--users", type=int, default=None)
     parser.add_argument(
@@ -316,8 +276,7 @@ def main() -> None:
         tmp = Path(tmpname)
         digest = run_identity(tmp, schema, sessions, T, k)
         print(
-            "verified: parallel per-shard writes, post-crash recovery and"
-            " rebalance all byte-identical to the serial path"
+            "verified: 1/2/4-shard writes and rebalance all byte-identical"
             f" (digest {digest[:16]}…)"
         )
         results["identity"] = "ok"
@@ -326,29 +285,11 @@ def main() -> None:
         else:
             scaling = run_scaling(tmp, schema, sessions, T, k)
             results.update(scaling)
-            serial = scaling["writeback_serial_4shard"]
-            for label in (
-                "serial_1shard", "serial_4shard", "parallel_1shard",
-                "parallel_2shard", "parallel_4shard",
-            ):
+            for n_shards in SHARD_COUNTS:
+                label = f"{n_shards}shard"
                 print(
-                    f"{label:18s} ingest {scaling[f'ingest_{label}'] * 1e3:8.1f} ms"
+                    f"{label:7s} ingest {scaling[f'ingest_{label}'] * 1e3:8.1f} ms"
                     f"   writeback {scaling[f'writeback_{label}'] * 1e3:8.1f} ms"
-                )
-            speedup = serial / scaling["writeback_parallel_4shard"]
-            results["writeback_speedup_4shard"] = speedup
-            if speedup >= 1.2:
-                print(f"4-shard parallel write-back speedup: {speedup:.2f}x")
-            elif cores < 4:
-                print(
-                    f"NOTE: 4-shard parallel write-back {speedup:.2f}x vs"
-                    f" serial — only {cores} core(s) available; per-shard"
-                    " commits cannot overlap without parallel hardware"
-                )
-            else:
-                print(
-                    f"WARNING: 4-shard parallel write-back {speedup:.2f}x"
-                    " is below the 1.2x target"
                 )
             concurrency = run_concurrency(tmp, schema, sessions, T)
             results.update(concurrency)

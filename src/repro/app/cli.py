@@ -93,7 +93,13 @@ from repro.data import (
 from repro.core.insights import InsightEngine
 from repro.db.store import CandidateStore
 from repro.exceptions import LeadershipLost, QueryError, StorageError
-from repro.serve import InsightServer, bundle_payload, dumps, orchestrator_payload
+from repro.serve import (
+    InsightServer,
+    bundle_freshness_seconds,
+    bundle_payload,
+    dumps,
+    orchestrator_payload,
+)
 from repro.temporal import lending_update_function
 
 __all__ = [
@@ -1191,7 +1197,7 @@ def run_query(args, out: IO[str] | None = None) -> int:
         if args.json:
             freshness = None
             if getattr(args, "freshness", False):
-                freshness = _bundle_freshness_seconds(store, args.user)
+                freshness = bundle_freshness_seconds(store, args.user)
             out.write(
                 dumps(
                     bundle_payload(
@@ -1207,21 +1213,6 @@ def run_query(args, out: IO[str] | None = None) -> int:
         return 0
     finally:
         owner.close()
-
-
-def _bundle_freshness_seconds(store, user_id: str) -> float | None:
-    """Seconds since the oldest ``refreshed_at`` stamp backing the
-    user's cells, or ``None`` when no cell carries a stamp yet (rows
-    predating the priority subsystem, or never refreshed).
-
-    The age is computed in one query against the *store's* clock — the
-    same clock that wrote the stamps — so a CLI host whose wall clock
-    is skewed from the database host cannot report negative or inflated
-    ages."""
-    from repro.db.prepared import prepared_for
-
-    prepared = prepared_for(store.placeholder, store.schema.names)
-    return prepared.oldest_age(store.read, user_id, store.backend.clock_sql())
 
 
 def run_serve(args, out: IO[str] | None = None) -> int:

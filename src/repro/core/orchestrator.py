@@ -136,8 +136,8 @@ class RefreshOrchestrator:
     shard_affinity / start_method:
         Forwarded to :func:`~repro.core.worker.run_worker_pool`;
         ``shard_affinity=True`` pins worker *i* to shard ``i %
-        n_shards`` so each epoch's drain exploits the store's per-shard
-        parallel write path (digest-identical either way).
+        n_shards`` so each epoch's workers upsert into distinct shard
+        files (digest-identical either way).
     budget:
         Optional per-epoch compute budget, in cells.  Each epoch arms
         the store's **durable** budget row with ``budget + carry-over``

@@ -126,12 +126,11 @@ def drain_stale_cells(
 
     ``claim_schema`` pins this worker's **shard affinity**: claims
     drain that schema's stale cells first, so on a sharded store each
-    worker's upserts land on its own shard file's write connection and
-    never serialise against the other workers (the per-shard parallel
-    write path).  Workers fall through to foreign shards once their own
-    is clean, so the drain still finishes everything.  The final store
-    contents are byte-identical either way — cells are deterministic,
-    only the claim order changes.
+    worker's upserts lock only its own shard file and never serialise
+    against the other workers.  Workers fall through to foreign shards
+    once their own is clean, so the drain still finishes everything.
+    The final store contents are byte-identical either way — cells are
+    deterministic, only the claim order changes.
 
     When a claim comes back empty but computable stale cells remain
     under **live foreign leases**, the worker waits (``sleep``, in small
@@ -354,8 +353,8 @@ def worker_main(
     Each worker opens its **own** sqlite connection(s) to the shared
     store — connections are never shared across processes.
     ``affinity_index`` pins the worker to shard ``index % n_shards``
-    (its claims drain that shard first, so its per-shard write
-    connection never contends with the other workers').  With
+    (its claims drain that shard first, so its upserts lock a shard
+    file the other workers' upserts do not).  With
     ``result_path`` set, a JSON summary is written for the coordinator.
     """
     system = load_system(
@@ -423,12 +422,11 @@ def run_worker_pool(
     models (run :meth:`JustInTime.refit` + ``save_system`` first — the
     ``refresh-workers`` CLI verb does both).  ``shard_affinity=True``
     pins worker *i* to shard ``i % n_shards`` so each worker's upserts
-    commit on a distinct shard file (the parallel write path); the
-    store contents are byte-identical either way.  Raises
-    :class:`StorageError` if any worker exits non-zero; cells leased by
-    a crashed worker are recovered by the survivors once the lease
-    expires, so a partial pool failure leaves the store consistent,
-    merely unfinished.
+    commit on a distinct shard file; the store contents are
+    byte-identical either way.  Raises :class:`StorageError` if any
+    worker exits non-zero; cells leased by a crashed worker are
+    recovered by the survivors once the lease expires, so a partial
+    pool failure leaves the store consistent, merely unfinished.
 
     ``stats_store`` + ``fingerprints`` (the coordinator's open store
     and current model fingerprints) attach a post-drain

@@ -12,17 +12,18 @@ rows live.  Three backends are provided:
 ``ShardedSQLiteBackend`` (``'sharded'``)
     ``n_shards`` SQLite databases attached to one router connection;
     each user's rows live in exactly one shard, chosen by a stable hash
-    of the user id.  Writes address the owning shard directly (separate
-    files → separate write locks when backed by disk), while global
-    reads — the expert SQL passthrough and the Figure-2 canned queries —
-    go through ``UNION ALL`` views, so the query layer is backend
-    agnostic.
+    of the user id.  Writes address the owning shard's schema on the
+    router connection (separate files → separate write locks when
+    backed by disk; a transaction spanning shards commits atomically
+    through SQLite's super-journal), while global reads — the expert
+    SQL passthrough and the Figure-2 canned queries — go through
+    ``UNION ALL`` views, so the query layer is backend agnostic.
 
 All backends speak sqlite3 underneath: the contract is *connection
 topology* (how many databases, which schema a user's rows live in) plus
 a small **DB-API dialect seam** (:meth:`StoreBackend.placeholder`,
 :meth:`StoreBackend.begin_immediate_sql`,
-:meth:`StoreBackend.clock_sql`, :meth:`StoreBackend.write_connection`)
+:meth:`StoreBackend.for_update_suffix`, :meth:`StoreBackend.clock_sql`)
 — the handful of spots where SQL engines actually differ — so an
 out-of-process backend (postgres/mysql) is a ~100-line subclass, not a
 store rewrite.  The shared backend-contract test suite in
@@ -60,7 +61,8 @@ class StoreBackend:
 
     Subclasses provide one sqlite3 connection (possibly with several
     attached databases) and answer two questions: which database schemas
-    hold table copies, and which schema owns a given user's rows.
+    hold table copies, and which schema owns a given user's rows.  Every
+    read and write of the store runs on that one connection.
 
     The backend also owns the **SQL dialect seam** — the four spots
     where relational engines actually differ, so the store's SQL
@@ -88,17 +90,9 @@ class StoreBackend:
         family that is ``julianday('now')`` converted to Unix seconds;
         an out-of-process backend would return its server-side
         equivalent (e.g. ``EXTRACT(EPOCH FROM now())``).
-
-    Finally the backend owns **write routing**
-    (:meth:`write_connection`): which connection a bulk write to one
-    schema should use.  Single-connection backends return ``self.conn``;
-    the file-backed sharded backend returns a dedicated per-shard
-    connection so writes to different shards commit in parallel
-    (:attr:`parallel_write_schemas`), coordinated by the store's
-    two-phase group commit.
     """
 
-    #: the router connection: global reads, lease claims, coordination
+    #: the router connection: every read, write and lease claim
     conn: sqlite3.Connection
 
     #: Unix-epoch seconds as computed by SQLite itself.  2440587.5 is the
@@ -133,25 +127,6 @@ class StoreBackend:
         """SQL expression yielding the store-side clock in Unix seconds."""
         return self.CLOCK_SQL
 
-    # ----------------------------------------------------- write routing
-
-    def write_connection(self, schema: str) -> tuple[sqlite3.Connection, str]:
-        """``(connection, schema prefix)`` for bulk writes to ``schema``.
-
-        The returned prefix qualifies table names on that connection:
-        single-connection backends keep the schema name; a dedicated
-        per-shard connection sees its shard as ``main``.
-        """
-        return self.conn, schema
-
-    @property
-    def parallel_write_schemas(self) -> bool:
-        """Whether :meth:`write_connection` hands out independent
-        connections whose commits do not serialise on one lock (the
-        store then runs multi-schema writes as a two-phase group
-        commit)."""
-        return False
-
     # ----------------------------------------------------- read replicas
 
     def replica_connection(
@@ -164,13 +139,15 @@ class StoreBackend:
         path: each is an independent handle onto the schema's database,
         opened read-only at the engine level and additionally pinned
         with ``PRAGMA query_only`` so even a bug in the serving layer
-        cannot write through it.  Returns ``(connection, prefix)`` like
-        :meth:`write_connection`; ``None`` means the topology has no
-        separately-openable replica (in-memory databases are reachable
-        only through their creating connection) and the pool must fall
-        back to the router.  ``check_same_thread=False`` because the
-        pool hands connections to server executor threads (each
-        connection is used by one thread at a time).
+        cannot write through it.  Returns ``(connection, prefix)``, the
+        prefix qualifying table names on that connection (a connection
+        straight to a shard file sees it as ``main``); ``None`` means
+        the topology has no separately-openable replica (in-memory
+        databases are reachable only through their creating connection)
+        and the pool must fall back to the router.
+        ``check_same_thread=False`` because the pool hands connections
+        to server executor threads (each connection is used by one
+        thread at a time).
 
         A server backend (postgres/mysql) overrides this to connect to
         an actual read replica — same seam, same pool.
@@ -255,8 +232,8 @@ class ShardedSQLiteBackend(StoreBackend):
                     f"={n_shards}; reopen with the original shard count"
                 )
         # file-backed shards get a file-backed router at <path> (it holds
-        # the coordination tables — group-commit markers, rebalance
-        # state — never user rows): SQLite only guarantees atomic
+        # the coordinator tables — rebalance state, refresh budget,
+        # leader lease — never user rows): SQLite only guarantees atomic
         # commits across attached databases when the main database is
         # not ':memory:', and the lease claim path relies on the
         # router's write lock
@@ -272,8 +249,30 @@ class ShardedSQLiteBackend(StoreBackend):
                 ":memory:" if self.path == ":memory:" else f"{self.path}.shard{i}"
             )
             self.conn.execute(f"ATTACH DATABASE ? AS shard{i}", (target,))
-        #: lazily opened dedicated per-shard write connections
-        self._shard_conns: dict[str, sqlite3.Connection] = {}
+        if self.path != ":memory:":
+            self._require_rollback_journals()
+
+    def _require_rollback_journals(self) -> None:
+        """Refuse files whose journal mode breaks multi-shard atomicity.
+
+        SQLite commits a transaction that spans attached files
+        atomically only through its super-journal, and only files with a
+        rollback journal take part in it.  An operator can switch a file
+        to WAL (the mode persists inside the file); a write spanning that
+        shard and another could then survive a crash in one and not the
+        other.  ``off`` and ``memory`` keep no journal on disk at all.
+        """
+        for db in ("main", *self.schemas()):
+            mode = str(self.conn.execute(f"PRAGMA {db}.journal_mode").fetchone()[0])
+            if mode.lower() in ("wal", "off", "memory"):
+                self.conn.close()
+                name = self.path if db == "main" else f"{self.path}.{db}"
+                raise StorageError(
+                    f"{name} uses journal_mode={mode}; a sharded store needs"
+                    " a rollback journal in every file so a write spanning"
+                    " shards commits atomically (run PRAGMA"
+                    " journal_mode=DELETE on it)"
+                )
 
     def schemas(self) -> tuple[str, ...]:
         return tuple(f"shard{i}" for i in range(self.n_shards))
@@ -289,35 +288,6 @@ class ShardedSQLiteBackend(StoreBackend):
     def schema_for(self, user_id: str) -> str:
         return f"shard{self.shard_index(user_id, self.n_shards)}"
 
-    def write_connection(self, schema: str) -> tuple[sqlite3.Connection, str]:
-        """A dedicated connection to ``schema``'s shard file.
-
-        Separate files have separate write locks, so bulk writes to
-        different shards commit concurrently instead of serialising on
-        the router.  In-memory shards are reachable only through the
-        router's ATTACHes, so they keep the single-connection path.
-        ``check_same_thread=False`` lets the store's group commit drive
-        the per-shard phase-1 transactions from worker threads; each
-        connection is only ever used by one thread at a time.
-        """
-        if self.path == ":memory:":
-            return self.conn, schema
-        conn = self._shard_conns.get(schema)
-        if conn is None:
-            index = int(schema.removeprefix("shard"))
-            conn = sqlite3.connect(
-                f"{self.path}.shard{index}",
-                timeout=_BUSY_TIMEOUT_S,
-                check_same_thread=False,
-            )
-            conn.row_factory = sqlite3.Row
-            self._shard_conns[schema] = conn
-        return conn, "main"
-
-    @property
-    def parallel_write_schemas(self) -> bool:
-        return self.path != ":memory:"
-
     def replica_connection(
         self, schema: str
     ) -> tuple[sqlite3.Connection, str] | None:
@@ -332,12 +302,6 @@ class ShardedSQLiteBackend(StoreBackend):
             return None
         index = int(schema.removeprefix("shard"))
         return _open_replica(f"{self.path}.shard{index}"), "main"
-
-    def close(self) -> None:
-        for conn in self._shard_conns.values():
-            conn.close()
-        self._shard_conns.clear()
-        super().close()
 
 
 def _open_replica(path: str) -> sqlite3.Connection:

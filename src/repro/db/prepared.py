@@ -129,10 +129,6 @@ class PreparedQueries:
                 "SELECT * FROM temporal_inputs"
                 f" WHERE user_id = {ph} AND time = {ph}"
             ),
-            "oldest_stamp": (
-                "SELECT MIN(refreshed_at) AS oldest FROM temporal_inputs"
-                f" WHERE user_id = {ph}"
-            ),
             # one cell's stored diverse plan set in selection order; rows
             # with plan_rank < 0 (legacy databases) carry no set
             "plan_set": (
@@ -300,17 +296,6 @@ class PreparedQueries:
         """The raw temporal-input row of one cell, or ``None``."""
         rows = read(self._sql["input"], (user_id, int(time)))
         return rows[0] if rows else None
-
-    def oldest_stamp(self, read: Reader, user_id: str) -> float | None:
-        """The oldest ``refreshed_at`` stamp among the user's cells —
-        the upper bound on how stale any answer for this user can be.
-        ``None`` for unknown users or stores whose rows predate the
-        stamp column (``refreshed_at = 0``)."""
-        rows = read(self._sql["oldest_stamp"], (user_id,))
-        value = rows[0]["oldest"] if rows else None
-        if value is None or float(value) <= 0:
-            return None
-        return float(value)
 
     def oldest_age(
         self, read: Reader, user_id: str, clock_sql: str

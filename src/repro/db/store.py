@@ -60,20 +60,18 @@ user-sharded) is delegated to :mod:`repro.db.backends`; on a sharded
 backend every table exists once per shard and reads go through
 ``UNION ALL`` views, so all SQL below stays backend agnostic.
 
-**Parallel write path** — on a file-backed sharded backend every bulk
-write is grouped per shard and committed on that shard's *dedicated*
-connection (separate files → separate write locks), so N workers
-upserting cells of different shards never serialise on one lock.  A
-batch spanning several shards goes through a **two-phase group
-commit**: each shard's transaction stashes an undo journal
-(``txn_journal``) beside its rows (phase 1), then a commit marker is
-written in the router (``txn_commits``, phase 2), then journals and
-marker are released.  Recovery (:meth:`CandidateStore.
-recover_pending_groups`, run on every open) rolls half-committed groups
-back (no marker) or forward (marker present), so a crash at any point
-leaves ``contents_digest()`` equal to a store that either completed the
-write or never started it.  ``txn_pending`` rows lease the group to its
-writer so recovery never unwinds a *live* writer's phase-1 work.
+**Write path** — every write runs on the router connection under the
+owning shard's schema prefix.  A bulk write is grouped per shard and
+applied as **one** transaction, shards in ascending order: SQLite
+commits a transaction that spans ATTACHed files atomically through its
+super-journal, so a crash at any point leaves ``contents_digest()``
+equal to a store that either completed the write or never started it,
+with no recovery code of our own.  The super-journal needs a rollback
+journal in every file, which is why the sharded backend refuses files
+in WAL mode.  A deferred transaction locks only the shard files it
+writes, so workers upserting cells of different shards never wait on
+each other; taking shards in one global order keeps two multi-shard
+writers from deadlocking until the busy timeout.
 """
 
 from __future__ import annotations
@@ -82,8 +80,6 @@ import hashlib
 import json
 import re
 import sqlite3
-import uuid
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -151,22 +147,7 @@ class CandidateStore:
     n_shards:
         Shard count for the ``'sharded'`` backend (ignored otherwise);
         ``None`` uses the on-disk count, or 4 for a new store.
-    parallel_writes:
-        Route bulk writes through per-shard connections (two-phase
-        group commit when a batch spans shards).  ``None`` (default)
-        follows the backend's
-        :attr:`~repro.db.backends.StoreBackend.parallel_write_schemas`;
-        ``False`` forces the serial single-transaction path (the
-        reference the parallel path is asserted byte-identical to).
-        ``True`` is honoured only on backends that actually hand out
-        per-schema connections — elsewhere (e.g. in-memory shards,
-        reachable only through the router) it clamps back to serial.
     """
-
-    #: seconds a prepared-but-unmarked commit group stays protected from
-    #: recovery — long enough for any live writer to reach phase 2,
-    #: short enough that a crashed writer's group is unwound promptly
-    txn_grace_seconds: float = 60.0
 
     def __init__(
         self,
@@ -175,7 +156,6 @@ class CandidateStore:
         *,
         backend: str | StoreBackend | None = None,
         n_shards: int | None = None,
-        parallel_writes: bool | None = None,
     ):
         for name in schema.names:
             if not _IDENTIFIER_RE.match(name):
@@ -185,22 +165,7 @@ class CandidateStore:
                     f"feature name {name!r} collides with a reserved column"
                 )
         self.schema = schema
-        #: test/bench instrumentation: ``callable(stage)`` fired between
-        #: the group-commit steps (``'pending'``, ``'prepared:<db>'``,
-        #: ``'committed'``, ``'released'``); raising simulates the
-        #: writing process dying at that point.  When set, phase 1 runs
-        #: serially in schema order so crash points are deterministic.
-        self.txn_fault_hook = None
         self._attach_backend(make_backend(backend, path, n_shards=n_shards))
-        # forcing True on a single-connection backend would drive that
-        # one connection from the group-commit worker threads — clamp to
-        # what the topology can actually parallelise
-        self.parallel_writes = (
-            self._backend.parallel_write_schemas
-            if parallel_writes is None
-            else bool(parallel_writes) and self._backend.parallel_write_schemas
-        )
-        self.recover_pending_groups()
 
     def _attach_backend(self, backend: StoreBackend) -> None:
         """Bind this store to ``backend`` (initial open and the
@@ -265,14 +230,6 @@ class CandidateStore:
                 PRIMARY KEY (user_id, time)
             )
             """,
-            # per-shard undo journal of the two-phase group commit; rows
-            # exist only while a multi-shard write is in flight
-            f"""
-            CREATE TABLE IF NOT EXISTS {db}.txn_journal (
-                group_id TEXT PRIMARY KEY,
-                payload TEXT NOT NULL
-            )
-            """,
             # raw serving-tier read events, drained (and deleted) by
             # materialize_priorities — a spool, never a long-lived table
             f"""
@@ -319,21 +276,10 @@ class CandidateStore:
         )
 
     #: coordination tables, always in the router's ``main`` schema: the
-    #: group-commit marker + writer lease, and the rebalance phase row
-    #: read by :func:`repro.db.backends.recover_rebalance`
+    #: rebalance phase row read by
+    #: :func:`repro.db.backends.recover_rebalance`, the refresh budget,
+    #: the leader lease and the orchestrator's metrics snapshot
     _COORDINATOR_DDL = (
-        """
-        CREATE TABLE IF NOT EXISTS main.txn_commits (
-            group_id TEXT PRIMARY KEY,
-            committed_at REAL NOT NULL
-        )
-        """,
-        """
-        CREATE TABLE IF NOT EXISTS main.txn_pending (
-            group_id TEXT PRIMARY KEY,
-            expires_at REAL NOT NULL
-        )
-        """,
         """
         CREATE TABLE IF NOT EXISTS main.rebalance_state (
             phase TEXT NOT NULL,
@@ -565,29 +511,19 @@ class CandidateStore:
         )
         return (user_id, profile_json, constraints_json)
 
-    def _write_target(self, db: str) -> tuple[sqlite3.Connection, str]:
-        """``(connection, prefix)`` a write to schema ``db`` should use:
-        the shard's dedicated connection on a parallel backend, the
-        router otherwise."""
-        if self.parallel_writes:
-            return self._backend.write_connection(db)
-        return self._conn, db
-
     def store_temporal_inputs(
         self, user_id: str, trajectory, fingerprints: dict[int, str] | None = None
     ) -> None:
         """Insert/replace the rows ``x_0 .. x_T`` for ``user_id``."""
         rows = self._input_rows(user_id, trajectory, fingerprints)
-        conn, prefix = self._write_target(self._db_for(user_id))
-        with conn:
-            conn.execute(
-                f"DELETE FROM {prefix}.temporal_inputs WHERE user_id = {self._ph}",
+        db = self._db_for(user_id)
+        with self._conn:
+            self._conn.execute(
+                f"DELETE FROM {db}.temporal_inputs WHERE user_id = {self._ph}",
                 (user_id,),
             )
-            conn.executemany(
-                self._insert_sql(
-                    prefix, "temporal_inputs", ("model_fp", "refreshed_at")
-                ),
+            self._conn.executemany(
+                self._insert_sql(db, "temporal_inputs", ("model_fp", "refreshed_at")),
                 rows,
             )
 
@@ -599,11 +535,10 @@ class CandidateStore:
     ) -> None:
         """Append candidates (any time points) for ``user_id``."""
         rows = self._candidate_rows(user_id, candidates, fingerprints)
-        conn, prefix = self._write_target(self._db_for(user_id))
-        with conn:
-            conn.executemany(
-                self._insert_sql(prefix, "candidates", self._CANDIDATE_EXTRA),
-                rows,
+        db = self._db_for(user_id)
+        with self._conn:
+            self._conn.executemany(
+                self._insert_sql(db, "candidates", self._CANDIDATE_EXTRA), rows
             )
 
     def store_sessions(
@@ -612,16 +547,14 @@ class CandidateStore:
         fingerprints: dict[int, str] | None = None,
         specs=None,
     ) -> None:
-        """Bulk multi-user write, grouped and committed per shard.
+        """Bulk multi-user write in one transaction.
 
         ``sessions`` is an iterable of ``(user_id, trajectory,
         candidates)`` triples.  For every user the existing rows are
-        replaced and the temporal inputs + candidates inserted; each
-        shard's row group is one transaction (a 50-user ingest pays one
-        commit per touched shard instead of 150), shards commit on
-        their own connections in parallel, and a batch spanning shards
-        is protected by the two-phase group commit so recovery restores
-        all-or-nothing semantics after a crash.  ``fingerprints`` maps
+        replaced and the temporal inputs + candidates inserted; the
+        whole batch is one transaction (a 50-user ingest pays one
+        commit instead of 150), all-or-nothing across shards (see
+        :meth:`_grouped_write`).  ``fingerprints`` maps
         time index to the producing model's content fingerprint;
         ``specs`` is an optional iterable of ``(user_id, profile,
         constraint_texts_or_None)`` persisted to ``user_sessions`` for
@@ -653,12 +586,10 @@ class CandidateStore:
         """Replace the candidates of specific (user, time) cells.
 
         ``cells`` is an iterable of ``(user_id, time, candidates)`` or
-        ``(user_id, time, candidates, x_t)`` tuples; the cells are
-        grouped per shard and each shard's group runs in **one
-        transaction** on that shard's write connection — a worker whose
-        claimed cells live in one shard commits without ever touching
-        the router's lock, and a batch spanning shards goes through the
-        two-phase group commit (all-or-nothing after recovery).  Rows
+        ``(user_id, time, candidates, x_t)`` tuples; the whole batch is
+        **one transaction** (see :meth:`_grouped_write`) — a worker
+        whose claimed cells live in one shard locks only that shard's
+        file, and a batch spanning shards commits all-or-nothing.  Rows
         of untouched cells are left byte-identical.  The cell's
         ``temporal_inputs`` ledger row is stamped with the new model
         fingerprint; if that row is missing (e.g. the user was fully
@@ -681,356 +612,24 @@ class CandidateStore:
             )
         return self._grouped_write(per_db)
 
-    # ---------------------------------------------- two-phase group commit
-
     def _grouped_write(self, ops_by_db: dict[str, list]) -> int:
-        """Commit per-schema op groups; returns candidate rows written.
+        """Apply per-schema op groups as **one** router transaction;
+        returns candidate rows written.
 
-        One schema → one ordinary transaction on that schema's write
-        connection (no coordination cost — the common worker-upsert
-        case).  Several schemas on a serial backend → one router
-        transaction spanning them all (SQLite multi-database atomic
-        commit).  Several schemas on a parallel backend → the two-phase
-        protocol of :meth:`_two_phase_commit`.
+        A batch that spans shards commits through SQLite's super-journal,
+        so it lands in every shard or in none, even if the process dies
+        mid-commit.  The transaction is deferred: each shard file is
+        locked at its first write, so a batch locks only the shards it
+        touches.  Shards are taken in ascending order — two writers that
+        took them in opposite orders would each hold the shard the other
+        waits for until the busy timeout.
         """
-        ops_by_db = {db: ops for db, ops in ops_by_db.items() if ops}
-        if not ops_by_db:
-            return 0
-        if len(ops_by_db) == 1:
-            ((db, ops),) = ops_by_db.items()
-            conn, prefix = self._write_target(db)
-            with conn:
-                return sum(op.apply(self, conn, prefix) for op in ops)
-        if not self.parallel_writes:
-            with self._conn:
-                return sum(
-                    op.apply(self, self._conn, db)
-                    for db, ops in ops_by_db.items()
-                    for op in ops
-                )
-        return self._two_phase_commit(ops_by_db)
-
-    def _two_phase_commit(self, ops_by_db: dict[str, list]) -> int:
-        """Atomically-recoverable multi-shard write.
-
-        1. a ``txn_pending`` row leases the group to this writer (so
-           concurrent recovery leaves live phase-1 work alone);
-        2. **phase 1** — every shard, on its own connection and in
-           parallel, stashes an undo journal beside its applied rows
-           and commits;
-        3. **phase 2** — the commit marker lands in the router's
-           ``txn_commits`` (the group's single durable commit point);
-        4. journals and marker are released.
-
-        A crash before the marker rolls the group back via the
-        journals; after the marker, recovery merely finishes the
-        release — either way ``contents_digest()`` equals a run that
-        completed the write or never started it.
-        """
-        ph = self._ph
-        group_id = uuid.uuid4().hex
-        killed = False
-
-        def fire(stage: str) -> None:
-            # a raise from the hook simulates the *process dying* at this
-            # stage: the flag keeps the live-writer abort below from
-            # cleaning up, so the journals survive for open-time recovery
-            # to resolve — exactly what a real kill leaves behind
-            nonlocal killed
-            if self.txn_fault_hook is not None:
-                killed = True
-                self.txn_fault_hook(stage)
-                killed = False
-
         with self._conn:
-            self._conn.execute(
-                f"INSERT INTO main.txn_pending (group_id, expires_at)"
-                f" VALUES ({ph}, {ph})",
-                (group_id, self.clock_now() + float(self.txn_grace_seconds)),
+            return sum(
+                op.apply(self, db)
+                for db, ops in sorted(ops_by_db.items())
+                for op in ops
             )
-        fire("pending")
-        items = sorted(ops_by_db.items())
-        prepared: list[str] = []
-        written = 0
-        try:
-            if self.txn_fault_hook is not None:
-                # deterministic schema order so fault-injection tests can
-                # name exact crash points
-                for db, ops in items:
-                    written += self._prepare_schema(group_id, db, ops)
-                    prepared.append(db)
-                    fire(f"prepared:{db}")
-            else:
-                # phase 1 in parallel: sqlite3 releases the GIL while each
-                # shard's transaction runs, so the per-file work overlaps
-                with ThreadPoolExecutor(max_workers=len(items)) as pool:
-                    futures = [
-                        (db, pool.submit(self._prepare_schema, group_id, db, ops))
-                        for db, ops in items
-                    ]
-                    failure: BaseException | None = None
-                    for db, future in futures:
-                        try:
-                            written += future.result()
-                            prepared.append(db)
-                        except BaseException as exc:  # noqa: BLE001 — rollback all
-                            failure = failure or exc
-                    if failure is not None:
-                        raise failure
-        except BaseException:
-            if not killed:
-                self._abort_group(group_id, prepared)
-            raise
-        try:
-            with self._conn:
-                self._conn.execute(
-                    f"INSERT INTO main.txn_commits (group_id, committed_at)"
-                    f" VALUES ({ph}, {ph})",
-                    (group_id, self.clock_now()),
-                )
-                self._conn.execute(
-                    f"DELETE FROM main.txn_pending WHERE group_id = {ph}",
-                    (group_id,),
-                )
-        except sqlite3.Error:
-            # the marker never landed, so the group is uncommitted — and
-            # this writer is alive and holds the journals, so it must
-            # unwind its phase-1 commits itself rather than report a
-            # failed write whose rows stay visible until some later
-            # recovery rolls them back
-            self._abort_group(group_id, prepared)
-            raise
-        fire("committed")
-        self._release_group(group_id, prepared)
-        fire("released")
-        return written
-
-    def _prepare_schema(self, group_id: str, db: str, ops: list) -> int:
-        """Phase 1 for one shard: journal the undo state, apply, commit."""
-        conn, prefix = self._backend.write_connection(db)
-        ph = self._ph
-        try:
-            conn.execute(self._backend.begin_immediate_sql())
-            payloads = [op.undo(self, conn, prefix) for op in ops]
-            conn.execute(
-                f"INSERT INTO {prefix}.txn_journal (group_id, payload)"
-                f" VALUES ({ph}, {ph})",
-                (group_id, json.dumps(payloads)),
-            )
-            written = sum(op.apply(self, conn, prefix) for op in ops)
-            conn.commit()
-            return written
-        except BaseException:
-            conn.rollback()
-            raise
-
-    def _abort_group(self, group_id: str, prepared: list[str]) -> None:
-        """Unwind a group whose phase 1 failed partway: already-prepared
-        shards are rolled back via their journals, the pending lease is
-        dropped."""
-        for db in prepared:
-            conn, prefix = self._backend.write_connection(db)
-            self._rollback_journal(conn, prefix, group_id)
-        with self._conn:
-            self._conn.execute(
-                f"DELETE FROM main.txn_pending WHERE group_id = {self._ph}",
-                (group_id,),
-            )
-
-    def _rollback_journal(
-        self, conn: sqlite3.Connection, prefix: str, group_id: str
-    ) -> bool:
-        """Restore one shard's pre-group state from its undo journal."""
-        ph = self._ph
-        row = conn.execute(
-            f"SELECT payload FROM {prefix}.txn_journal WHERE group_id = {ph}",
-            (group_id,),
-        ).fetchone()
-        if row is None:
-            return False
-        payloads = json.loads(row[0])
-        with conn:
-            for payload in reversed(payloads):
-                self._apply_undo(conn, prefix, payload)
-            conn.execute(
-                f"DELETE FROM {prefix}.txn_journal WHERE group_id = {ph}",
-                (group_id,),
-            )
-        return True
-
-    def _release_group(self, group_id: str, dbs: list[str]) -> None:
-        """Phase 3: drop the shard journals, then the commit marker.
-        Order matters — a marker without journals is a finished commit,
-        journals without a marker mean rollback."""
-        ph = self._ph
-        for db in dbs:
-            conn, prefix = self._backend.write_connection(db)
-            with conn:
-                conn.execute(
-                    f"DELETE FROM {prefix}.txn_journal WHERE group_id = {ph}",
-                    (group_id,),
-                )
-        with self._conn:
-            self._conn.execute(
-                f"DELETE FROM main.txn_commits WHERE group_id = {ph}", (group_id,)
-            )
-
-    def _restore_rows(
-        self, conn, prefix: str, table: str, columns: list[str], rows
-    ) -> None:
-        if not rows:
-            return
-        ph = self._ph
-        conn.executemany(
-            f"INSERT INTO {prefix}.{table} ({', '.join(columns)})"
-            f" VALUES ({', '.join(ph for _ in columns)})",
-            [tuple(row) for row in rows],
-        )
-
-    def _undo_columns(self) -> tuple[list[str], list[str]]:
-        """(candidate columns incl. ``id``, temporal-input columns) of
-        the undo journal.  ``id`` is captured and restored explicitly:
-        the digest sorts a cell's rows by it, so a rollback must hand
-        back the original intra-cell order."""
-        feats = list(self.schema.names)
-        return (
-            [
-                "id",
-                "user_id",
-                "time",
-                *feats,
-                "diff",
-                "gap",
-                "p",
-                "model_fp",
-                "plan_rank",
-                "plan_quality",
-                "plan_min_dist",
-            ],
-            ["user_id", "time", *feats, "model_fp", "refreshed_at"],
-        )
-
-    def _apply_undo(self, conn, prefix: str, payload: dict) -> None:
-        """Apply one journaled undo record (rollback and crash
-        recovery): delete the scope the write touched, re-insert the
-        stashed pre-write rows."""
-        ph = self._ph
-        cand_cols, input_cols = self._undo_columns()
-        kind = payload["kind"]
-        if kind == "cell":
-            user, t = payload["user"], int(payload["time"])
-            conn.execute(
-                f"DELETE FROM {prefix}.candidates"
-                f" WHERE user_id = {ph} AND time = {ph}",
-                (user, t),
-            )
-            conn.execute(
-                f"DELETE FROM {prefix}.temporal_inputs"
-                f" WHERE user_id = {ph} AND time = {ph}",
-                (user, t),
-            )
-            self._restore_rows(
-                conn, prefix, "candidates", cand_cols, payload["candidates"]
-            )
-            if payload["ledger"] is not None:
-                self._restore_rows(
-                    conn, prefix, "temporal_inputs", input_cols,
-                    [payload["ledger"]],
-                )
-        elif kind == "user":
-            user = payload["user"]
-            conn.execute(
-                f"DELETE FROM {prefix}.candidates WHERE user_id = {ph}", (user,)
-            )
-            conn.execute(
-                f"DELETE FROM {prefix}.temporal_inputs WHERE user_id = {ph}",
-                (user,),
-            )
-            self._restore_rows(
-                conn, prefix, "candidates", cand_cols, payload["candidates"]
-            )
-            self._restore_rows(
-                conn, prefix, "temporal_inputs", input_cols, payload["inputs"]
-            )
-        elif kind == "spec":
-            user = payload["user"]
-            conn.execute(
-                f"DELETE FROM {prefix}.user_sessions WHERE user_id = {ph}",
-                (user,),
-            )
-            if payload["session"] is not None:
-                self._restore_rows(
-                    conn, prefix, "user_sessions",
-                    ["user_id", "profile", "constraints"],
-                    [payload["session"]],
-                )
-        else:
-            raise StorageError(f"unknown undo payload kind {kind!r}")
-
-    def recover_pending_groups(self, now: float | None = None) -> dict[str, int]:
-        """Resolve group commits a dead writer left half done.
-
-        Runs on every store open (and is safe to call any time): shard
-        journals with a ``txn_commits`` marker are **rolled forward**
-        (the commit stood — only the release was interrupted); journals
-        without a marker are **rolled back** to the journaled pre-write
-        state — unless a live ``txn_pending`` lease (``expires_at`` in
-        the future of the store clock) shows the writing process is
-        still mid-commit, in which case the group is left alone.
-        Writers must therefore finish a group within
-        :attr:`txn_grace_seconds`; the bulk writes this store issues
-        take milliseconds.  Returns ``{'rolled_back': n, 'completed':
-        m}``.
-        """
-        ph = self._ph
-        journaled: dict[str, list[str]] = {}
-        for db in self._backend.schemas():
-            conn, prefix = self._backend.write_connection(db)
-            for row in conn.execute(
-                f"SELECT group_id FROM {prefix}.txn_journal"
-            ).fetchall():
-                journaled.setdefault(str(row[0]), []).append(db)
-        now = float(self.clock_now() if now is None else now)
-        stats = {"rolled_back": 0, "completed": 0}
-        if journaled:
-            committed = {
-                str(r[0])
-                for r in self._conn.execute("SELECT group_id FROM main.txn_commits")
-            }
-            pending = {
-                str(r[0]): float(r[1])
-                for r in self._conn.execute(
-                    "SELECT group_id, expires_at FROM main.txn_pending"
-                )
-            }
-            for group_id, dbs in sorted(journaled.items()):
-                if group_id in committed:
-                    self._release_group(group_id, dbs)
-                    stats["completed"] += 1
-                elif pending.get(group_id, -1.0) > now:
-                    continue  # live writer mid-commit: not ours to unwind
-                else:
-                    for db in dbs:
-                        conn, prefix = self._backend.write_connection(db)
-                        self._rollback_journal(conn, prefix, group_id)
-                    with self._conn:
-                        self._conn.execute(
-                            f"DELETE FROM main.txn_pending WHERE group_id = {ph}",
-                            (group_id,),
-                        )
-                    stats["rolled_back"] += 1
-        # hygiene, aged past the grace window so a racing live writer is
-        # never touched: markers whose journals are all released (writer
-        # died inside the release loop) and expired pending leases
-        with self._conn:
-            self._conn.execute(
-                f"DELETE FROM main.txn_commits WHERE committed_at <= {ph}",
-                (now - float(self.txn_grace_seconds),),
-            )
-            self._conn.execute(
-                f"DELETE FROM main.txn_pending WHERE expires_at <= {ph}", (now,)
-            )
-        return stats
 
     # --------------------------------------------------------- rebalancing
 
@@ -1053,12 +652,14 @@ class CandidateStore:
           if interrupted.
 
         The phase ledger lives in the router's ``rebalance_state``
-        table.  Other writers must be quiescent (a live two-phase group
-        is refused; lease workers should be drained first — leases are
-        carried over, so an operator mistake delays work rather than
-        losing it).  ``fault_hook`` is test instrumentation: raising
-        from it simulates the process dying at that stage, with no
-        cleanup.  Returns ``{'n_shards': m, 'moved_users': k}``.
+        table.  Other writers must be quiescent (lease workers should be
+        drained first — leases are carried over, so an operator mistake
+        delays work rather than losing it).  A writer that died
+        mid-transaction needs no special care: SQLite rolls its hot
+        journals back when the build first reads each shard.
+        ``fault_hook`` is test instrumentation: raising from it simulates
+        the process dying at that stage, with no cleanup.  Returns
+        ``{'n_shards': m, 'moved_users': k}``.
         """
         backend = self._backend
         if not isinstance(backend, ShardedSQLiteBackend) or backend.path == ":memory:":
@@ -1076,19 +677,6 @@ class CandidateStore:
         if m == old_n:
             return {"n_shards": m, "moved_users": 0}
         ph = self._ph
-        # resolve any group a *crashed* writer left half-committed since
-        # this store opened: the staging copy below carries no undo
-        # journals, so an unresolved group would be frozen into the new
-        # layout as committed data
-        self.recover_pending_groups()
-        live = self._conn.execute(
-            f"SELECT COUNT(*) FROM main.txn_pending WHERE expires_at > {ph}",
-            (self.clock_now(),),
-        ).fetchone()[0]
-        if live:
-            raise StorageError(
-                "a group commit is in flight; retry rebalance once it settles"
-            )
         path = backend.path
         killed = False
 
@@ -1254,30 +842,29 @@ class CandidateStore:
         re-store their cells; use :meth:`JustInTime.drop_session` to
         fully forget a user.
         """
-        conn, prefix = self._write_target(self._db_for(user_id))
-        ph = self._ph
+        conn, db, ph = self._conn, self._db_for(user_id), self._ph
         with conn:
             if time is None:
                 conn.execute(
-                    f"DELETE FROM {prefix}.candidates WHERE user_id = {ph}",
+                    f"DELETE FROM {db}.candidates WHERE user_id = {ph}",
                     (user_id,),
                 )
                 conn.execute(
-                    f"DELETE FROM {prefix}.temporal_inputs WHERE user_id = {ph}",
+                    f"DELETE FROM {db}.temporal_inputs WHERE user_id = {ph}",
                     (user_id,),
                 )
                 conn.execute(
-                    f"DELETE FROM {prefix}.user_sessions WHERE user_id = {ph}",
+                    f"DELETE FROM {db}.user_sessions WHERE user_id = {ph}",
                     (user_id,),
                 )
             else:
                 conn.execute(
-                    f"DELETE FROM {prefix}.candidates"
+                    f"DELETE FROM {db}.candidates"
                     f" WHERE user_id = {ph} AND time = {ph}",
                     (user_id, int(time)),
                 )
                 conn.execute(
-                    f"UPDATE {prefix}.temporal_inputs SET model_fp = ''"
+                    f"UPDATE {db}.temporal_inputs SET model_fp = ''"
                     f" WHERE user_id = {ph} AND time = {ph}",
                     (user_id, int(time)),
                 )
@@ -1481,19 +1068,20 @@ class CandidateStore:
         return float(row[0])
 
     def _begin_immediate(self) -> None:
-        """Open an IMMEDIATE transaction (write lock on the main database
-        up front).  Every process sharing a file-backed store — plain or
-        sharded, whose router file is the main database — contends on
-        that one lock, so everything until COMMIT is atomic across the
-        worker pool."""
+        """Open an IMMEDIATE transaction (write locks up front, on the
+        main database and on every attached shard).  Every process
+        sharing a file-backed store — plain or sharded, whose router
+        file is the main database — contends on the main database's
+        lock, so everything until COMMIT is atomic across the worker
+        pool."""
         if self._conn.in_transaction:
             raise StorageError(
-                "cannot start a lease claim inside an open transaction"
+                "cannot lock the store inside an open transaction"
             )
         try:
             self._conn.execute(self._backend.begin_immediate_sql())
         except sqlite3.Error as exc:
-            raise StorageError(f"could not lock store for claim: {exc}") from exc
+            raise StorageError(f"could not lock store: {exc}") from exc
 
     def claim_stale_cells(
         self,
@@ -1787,15 +1375,14 @@ class CandidateStore:
         expires = now + float(lease_seconds)
         ph = self._ph
         renewed = 0
-        # routed per shard (each cell is an independent conditional
-        # update, so no cross-shard transaction is needed): a worker's
-        # renewals never contend with another shard's writers
+        # one transaction per shard (each cell is an independent
+        # conditional update, so no cross-shard transaction is needed):
+        # a worker's renewals never contend with another shard's writers
         for db, db_cells in self._cells_by_db(cells).items():
-            conn, prefix = self._write_target(db)
-            with conn:
+            with self._conn:
                 for user_id, t in db_cells:
-                    cursor = conn.execute(
-                        f"UPDATE {prefix}.refresh_leases SET lease_expires_at = {ph}"
+                    cursor = self._conn.execute(
+                        f"UPDATE {db}.refresh_leases SET lease_expires_at = {ph}"
                         f" WHERE user_id = {ph} AND time = {ph} AND worker_id = {ph}"
                         f" AND lease_expires_at > {ph}",
                         (expires, user_id, t, str(worker_id), now),
@@ -1820,11 +1407,10 @@ class CandidateStore:
         ph = self._ph
         released = 0
         for db, db_cells in self._cells_by_db(cells).items():
-            conn, prefix = self._write_target(db)
-            with conn:
+            with self._conn:
                 for user_id, t in db_cells:
-                    cursor = conn.execute(
-                        f"DELETE FROM {prefix}.refresh_leases"
+                    cursor = self._conn.execute(
+                        f"DELETE FROM {db}.refresh_leases"
                         f" WHERE user_id = {ph} AND time = {ph} AND worker_id = {ph}",
                         (user_id, t, str(worker_id)),
                     )
@@ -2125,10 +1711,9 @@ class CandidateStore:
             )
         written = 0
         for db, rows in grouped.items():
-            conn, prefix = self._write_target(db)
-            with conn:
-                conn.executemany(
-                    f"INSERT INTO {prefix}.access_log"
+            with self._conn:
+                self._conn.executemany(
+                    f"INSERT INTO {db}.access_log"
                     f" (user_id, question, accessed_at) VALUES ({ph}, {ph}, {ph})",
                     rows,
                 )
@@ -2143,9 +1728,10 @@ class CandidateStore:
         Exponential decay with the given half-life: an existing score is
         decayed from its ``updated_at`` to ``now``, each logged access
         contributes ``0.5 ** (age / halflife)``, and the merged score is
-        re-stamped at ``now``.  Each shard folds its own log inside one
-        transaction (read → delete → upsert), so a concurrent
-        :meth:`record_accesses` batch either lands before the fold or
+        re-stamped at ``now``.  The fold is one ``BEGIN IMMEDIATE``
+        transaction taken *before* its first read (read → delete →
+        upsert over every shard), so a concurrent :meth:`record_accesses`
+        batch either lands before the fold reads the log or waits and
         survives for the next one — never lost.  Returns the merged
         ``{user_id: score}`` mapping across all shards.
         """
@@ -2153,18 +1739,18 @@ class CandidateStore:
         halflife = float(halflife_seconds)
         if halflife <= 0:
             raise StorageError("halflife_seconds must be > 0")
-        ph = self._ph
+        conn, ph = self._conn, self._ph
         merged: dict[str, float] = {}
-        for db in self._backend.schemas():
-            conn, prefix = self._write_target(db)
-            with conn:
+        self._begin_immediate()
+        try:
+            for db in self._backend.schemas():
                 accesses = conn.execute(
-                    f"SELECT user_id, accessed_at FROM {prefix}.access_log"
+                    f"SELECT user_id, accessed_at FROM {db}.access_log"
                 ).fetchall()
                 old = conn.execute(
-                    f"SELECT user_id, score, updated_at FROM {prefix}.user_priority"
+                    f"SELECT user_id, score, updated_at FROM {db}.user_priority"
                 ).fetchall()
-                conn.execute(f"DELETE FROM {prefix}.access_log")
+                conn.execute(f"DELETE FROM {db}.access_log")
                 scores: dict[str, float] = {}
                 for user, score, updated in old:
                     age = max(0.0, now - float(updated))
@@ -2174,13 +1760,17 @@ class CandidateStore:
                     user = str(user)
                     scores[user] = scores.get(user, 0.0) + 0.5 ** (age / halflife)
                 conn.executemany(
-                    f"INSERT INTO {prefix}.user_priority"
+                    f"INSERT INTO {db}.user_priority"
                     f" (user_id, score, updated_at) VALUES ({ph}, {ph}, {ph})"
                     " ON CONFLICT (user_id) DO UPDATE SET"
                     " score = excluded.score, updated_at = excluded.updated_at",
                     [(user, score, now) for user, score in scores.items()],
                 )
-            merged.update(scores)
+                merged.update(scores)
+            conn.commit()
+        except BaseException:
+            conn.rollback()
+            raise
         return merged
 
     def set_user_priorities(
@@ -2198,10 +1788,9 @@ class CandidateStore:
                 (str(user), float(score), now)
             )
         for db, rows in grouped.items():
-            conn, prefix = self._write_target(db)
-            with conn:
-                conn.executemany(
-                    f"INSERT INTO {prefix}.user_priority"
+            with self._conn:
+                self._conn.executemany(
+                    f"INSERT INTO {db}.user_priority"
                     f" (user_id, score, updated_at) VALUES ({ph}, {ph}, {ph})"
                     " ON CONFLICT (user_id) DO UPDATE SET"
                     " score = excluded.score, updated_at = excluded.updated_at",
@@ -2219,10 +1808,9 @@ class CandidateStore:
         cell stale past its SLA drains first regardless of traffic."""
         ph = self._ph
         for db, db_cells in self._cells_by_db(cells).items():
-            conn, prefix = self._write_target(db)
-            with conn:
-                conn.executemany(
-                    f"INSERT OR REPLACE INTO {prefix}.refresh_escalations"
+            with self._conn:
+                self._conn.executemany(
+                    f"INSERT OR REPLACE INTO {db}.refresh_escalations"
                     f" (user_id, time) VALUES ({ph}, {ph})",
                     db_cells,
                 )
@@ -2235,19 +1823,17 @@ class CandidateStore:
         removed = 0
         if cells is None:
             for db in self._backend.schemas():
-                conn, prefix = self._write_target(db)
-                with conn:
-                    cursor = conn.execute(
-                        f"DELETE FROM {prefix}.refresh_escalations"
+                with self._conn:
+                    cursor = self._conn.execute(
+                        f"DELETE FROM {db}.refresh_escalations"
                     )
                     removed += cursor.rowcount
             return removed
         for db, db_cells in self._cells_by_db(cells).items():
-            conn, prefix = self._write_target(db)
-            with conn:
+            with self._conn:
                 for user_id, t in db_cells:
-                    cursor = conn.execute(
-                        f"DELETE FROM {prefix}.refresh_escalations"
+                    cursor = self._conn.execute(
+                        f"DELETE FROM {db}.refresh_escalations"
                         f" WHERE user_id = {ph} AND time = {ph}",
                         (user_id, t),
                     )
@@ -2492,17 +2078,10 @@ class CandidateStore:
 # --------------------------------------------------------------- write ops
 #
 # One shard-local unit of a grouped write.  Rows are marshalled (and
-# validated) at construction time — before any transaction opens — and
-# both methods run inside the owning shard's transaction: ``undo``
-# SELECTs the pre-write state into a JSON-able payload (phase-1
-# journalling; only invoked on the multi-shard two-phase path, and
-# floats survive the JSON round trip exactly — Python serialises them
-# via shortest-round-trip repr), ``apply`` executes the deletes/inserts
-# and returns the number of candidate rows written.
-
-
-def _dump_rows(conn, sql: str, params) -> list[list]:
-    return [list(row) for row in conn.execute(sql, params).fetchall()]
+# validated) at construction time — before any transaction opens —
+# and ``apply`` runs inside the grouped write's transaction, executing
+# the deletes/inserts under the shard's schema prefix ``db`` and
+# returning the number of candidate rows written.
 
 
 class _CellWrite:
@@ -2536,40 +2115,19 @@ class _CellWrite:
                 self.stamp,
             )
 
-    def undo(self, store, conn, prefix) -> dict:
-        ph = store._ph
-        cand_cols, input_cols = store._undo_columns()
-        ledger = conn.execute(
-            f"SELECT {', '.join(input_cols)} FROM {prefix}.temporal_inputs"
-            f" WHERE user_id = {ph} AND time = {ph}",
-            (self.user_id, self.time),
-        ).fetchone()
-        return {
-            "kind": "cell",
-            "user": self.user_id,
-            "time": self.time,
-            "candidates": _dump_rows(
-                conn,
-                f"SELECT {', '.join(cand_cols)} FROM {prefix}.candidates"
-                f" WHERE user_id = {ph} AND time = {ph} ORDER BY id",
-                (self.user_id, self.time),
-            ),
-            "ledger": None if ledger is None else list(ledger),
-        }
-
-    def apply(self, store, conn, prefix) -> int:
-        ph = store._ph
+    def apply(self, store, db) -> int:
+        conn, ph = store._conn, store._ph
         conn.execute(
-            f"DELETE FROM {prefix}.candidates"
+            f"DELETE FROM {db}.candidates"
             f" WHERE user_id = {ph} AND time = {ph}",
             (self.user_id, self.time),
         )
         conn.executemany(
-            store._insert_sql(prefix, "candidates", store._CANDIDATE_EXTRA),
+            store._insert_sql(db, "candidates", store._CANDIDATE_EXTRA),
             self.rows,
         )
         cursor = conn.execute(
-            f"UPDATE {prefix}.temporal_inputs SET model_fp = {ph},"
+            f"UPDATE {db}.temporal_inputs SET model_fp = {ph},"
             f" refreshed_at = {ph}"
             f" WHERE user_id = {ph} AND time = {ph}",
             (self.ledger_fp, self.stamp, self.user_id, self.time),
@@ -2581,9 +2139,7 @@ class _CellWrite:
                     " temporal_inputs row; pass x_t to restore it"
                 )
             conn.execute(
-                store._insert_sql(
-                    prefix, "temporal_inputs", ("model_fp", "refreshed_at")
-                ),
+                store._insert_sql(db, "temporal_inputs", ("model_fp", "refreshed_at")),
                 self.x_row,
             )
         return len(self.rows)
@@ -2603,44 +2159,22 @@ class _SessionWrite:
         )
         self.cand_rows = store._candidate_rows(user_id, candidates, fingerprints)
 
-    def undo(self, store, conn, prefix) -> dict:
-        ph = store._ph
-        cand_cols, input_cols = store._undo_columns()
-        return {
-            "kind": "user",
-            "user": self.user_id,
-            "candidates": _dump_rows(
-                conn,
-                f"SELECT {', '.join(cand_cols)} FROM {prefix}.candidates"
-                f" WHERE user_id = {ph} ORDER BY id",
-                (self.user_id,),
-            ),
-            "inputs": _dump_rows(
-                conn,
-                f"SELECT {', '.join(input_cols)} FROM {prefix}.temporal_inputs"
-                f" WHERE user_id = {ph} ORDER BY time",
-                (self.user_id,),
-            ),
-        }
-
-    def apply(self, store, conn, prefix) -> int:
-        ph = store._ph
+    def apply(self, store, db) -> int:
+        conn, ph = store._conn, store._ph
         conn.execute(
-            f"DELETE FROM {prefix}.candidates WHERE user_id = {ph}",
+            f"DELETE FROM {db}.candidates WHERE user_id = {ph}",
             (self.user_id,),
         )
         conn.execute(
-            f"DELETE FROM {prefix}.temporal_inputs WHERE user_id = {ph}",
+            f"DELETE FROM {db}.temporal_inputs WHERE user_id = {ph}",
             (self.user_id,),
         )
         conn.executemany(
-            store._insert_sql(
-                prefix, "temporal_inputs", ("model_fp", "refreshed_at")
-            ),
+            store._insert_sql(db, "temporal_inputs", ("model_fp", "refreshed_at")),
             self.input_rows,
         )
         conn.executemany(
-            store._insert_sql(prefix, "candidates", store._CANDIDATE_EXTRA),
+            store._insert_sql(db, "candidates", store._CANDIDATE_EXTRA),
             self.cand_rows,
         )
         return len(self.cand_rows)
@@ -2654,22 +2188,10 @@ class _SpecWrite:
     def __init__(self, store, spec):
         self.row = store._spec_row(*spec)
 
-    def undo(self, store, conn, prefix) -> dict:
-        existing = conn.execute(
-            f"SELECT user_id, profile, constraints FROM {prefix}.user_sessions"
-            f" WHERE user_id = {store._ph}",
-            (self.row[0],),
-        ).fetchone()
-        return {
-            "kind": "spec",
-            "user": self.row[0],
-            "session": None if existing is None else list(existing),
-        }
-
-    def apply(self, store, conn, prefix) -> int:
-        ph = store._ph
+    def apply(self, store, db) -> int:
+        conn, ph = store._conn, store._ph
         conn.execute(
-            f"INSERT OR REPLACE INTO {prefix}.user_sessions"
+            f"INSERT OR REPLACE INTO {db}.user_sessions"
             f" (user_id, profile, constraints) VALUES ({ph}, {ph}, {ph})",
             self.row,
         )

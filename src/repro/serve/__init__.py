@@ -17,7 +17,7 @@ from repro.serve.protocol import (
     orchestrator_payload,
     plan_payload,
 )
-from repro.serve.server import InsightServer, ServeError
+from repro.serve.server import InsightServer, ServeError, bundle_freshness_seconds
 
 __all__ = [
     "CacheStats",
@@ -26,6 +26,7 @@ __all__ = [
     "ReplicaPool",
     "ReplicaStoreView",
     "ServeError",
+    "bundle_freshness_seconds",
     "bundle_payload",
     "dumps",
     "insight_payload",

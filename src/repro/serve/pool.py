@@ -1,11 +1,12 @@
 """Per-shard read-only replica connections for the serving tier.
 
-Writers already scale (dedicated per-shard write connections, PR 5);
-this module gives *readers* the same property: a bounded pool of
-read-only connections per shard, opened through the backend's
+Writers on different shards already never wait on each other (a
+router transaction locks only the shard files it writes); this module
+gives *readers* the same property: a bounded pool of read-only
+connections per shard, opened through the backend's
 :meth:`~repro.db.backends.StoreBackend.replica_connection` dialect seam
 (``mode=ro`` + ``PRAGMA query_only``), so N concurrent readers never
-touch — let alone contend with — the router or the write connections.
+touch — let alone contend with — the router connection.
 
 :class:`ReplicaStoreView` is the duck-typed read-only store facade a
 checked-out replica is wrapped in: it exposes exactly the surface the

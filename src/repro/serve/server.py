@@ -86,7 +86,7 @@ from repro.serve.protocol import (
     orchestrator_payload,
 )
 
-__all__ = ["InsightServer", "ServeError"]
+__all__ = ["InsightServer", "ServeError", "bundle_freshness_seconds"]
 
 #: bound on render-retry rounds when a refresh keeps landing mid-read;
 #: each round is one ledger read + render, and fingerprint transitions
@@ -135,6 +135,23 @@ def _keep_alive(version: str, header_block: str) -> bool:
     if version.strip().upper() == "HTTP/1.0":
         return "keep-alive" in tokens
     return True
+
+
+def bundle_freshness_seconds(store, user: str, read=None) -> float | None:
+    """Age in seconds of the oldest ``refreshed_at`` stamp backing the
+    user's cells, or ``None`` when no cell carries a stamp yet (rows
+    predating the priority subsystem, or never refreshed).
+
+    Computed in one query against the *store's* clock (``clock_sql() -
+    refreshed_at`` inside the query): the stamp was written by the store
+    clock, so subtracting host ``time.time()`` would fold host↔store
+    clock skew into the reported age.  ``read`` defaults to
+    ``store.read``; the server passes its replica view's.
+    """
+    prepared = prepared_for(store.placeholder, store.schema.names)
+    return prepared.oldest_age(
+        read or store.read, user, store.backend.clock_sql()
+    )
 
 
 class ServeError(ReproError):
@@ -712,27 +729,15 @@ class InsightServer:
                 if view.cell_fingerprints(user) != ledger:
                     continue  # a refresh landed mid-render: re-read
                 freshness = (
-                    self._bundle_freshness(view, user) if want_freshness else None
+                    bundle_freshness_seconds(self.store, user, view.read)
+                    if want_freshness
+                    else None
                 )
                 body = self._serialize(user, ledger, rendered, freshness)
                 if use_cache:
                     self.cache.put(key, fps, body)
                 return body
         raise ServeError(503, "store is being rewritten faster than it can be read")
-
-    def _bundle_freshness(self, view, user: str) -> float | None:
-        """Age in seconds of the oldest ``refreshed_at`` stamp backing
-        the user's cells, or ``None`` when no cell carries a stamp.
-
-        Computed in one store-clock read (``clock_sql() -
-        refreshed_at`` inside the query): the stamp was written by the
-        store clock, so subtracting host ``time.time()`` would fold
-        host↔store clock skew into the reported age.
-        """
-        prepared = prepared_for(self.store.placeholder, self.store.schema.names)
-        return prepared.oldest_age(
-            view.read, user, self.store.backend.clock_sql()
-        )
 
     @staticmethod
     def _serialize(

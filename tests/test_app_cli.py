@@ -302,7 +302,7 @@ class TestQueryVerb:
 
         def _stamp(value):
             with CandidateStore(schema, db) as store:
-                conn, prefix = store._write_target("main")
+                conn, prefix = store.backend.conn, "main"
                 conn.execute(
                     f"UPDATE {prefix}.temporal_inputs SET refreshed_at = ?",
                     (value,),

@@ -1,5 +1,7 @@
 """Tests for the SQLite candidate store."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -113,3 +115,42 @@ class TestFileBacked:
             store.store_candidates("u1", [make_candidate(john)])
         with CandidateStore(schema, path) as store:
             assert store.candidate_count("u1") == 1
+
+
+@pytest.mark.parametrize("backend", ["sqlite", "sharded"])
+class TestAccessFold:
+    def test_access_recorded_mid_fold_is_never_lost(self, schema, tmp_path, backend):
+        """A second handle logs an access while the fold is between its
+        ``access_log`` and ``user_priority`` reads.  The fold's delete of
+        the log must not drop it uncounted: the score plus the leftover
+        log rows account for both accesses."""
+        path = tmp_path / "candidates.db"
+        folder = CandidateStore(schema, path, backend=backend)
+        other = CandidateStore(schema, path)
+        now = folder.clock_now()
+        folder.record_accesses([("u1", "q1", now)])
+        writer = threading.Thread(
+            target=other.record_accesses, args=([("u1", "q2", now)],)
+        )
+        priority_read = f"SELECT user_id, score, updated_at FROM {folder._db_for('u1')}."
+
+        def trace(statement: str) -> None:
+            if statement.startswith(priority_read) and writer.ident is None:
+                writer.start()
+                # long enough to land unless the fold holds the lock
+                writer.join(timeout=0.5)
+
+        folder.backend.conn.set_trace_callback(trace)
+        try:
+            scores = folder.materialize_priorities(now=now)
+        finally:
+            folder.backend.conn.set_trace_callback(None)
+        assert writer.ident is not None, "the fold never read user_priority"
+        writer.join(timeout=60.0)
+        assert not writer.is_alive()
+        leftover = folder.sql(
+            "SELECT COUNT(*) AS n FROM access_log WHERE user_id = 'u1'"
+        )[0]["n"]
+        assert scores["u1"] + leftover == pytest.approx(2.0)
+        other.close()
+        folder.close()

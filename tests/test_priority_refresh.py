@@ -69,7 +69,7 @@ def mark_refreshed(store, worker, cells):
     (so it leaves the stale set) and release the lease."""
     ph = store.placeholder
     for user, t in cells:
-        conn, prefix = store._write_target(store._db_for(user))
+        conn, prefix = store.backend.conn, store._db_for(user)
         with conn:
             conn.execute(
                 f"UPDATE {prefix}.temporal_inputs SET model_fp = {ph}"
@@ -353,7 +353,7 @@ class TestFreshnessReports:
         fill_stale(store, users=["u1"])
         now = store.clock_now()
         for db in store.backend.schemas():
-            conn, prefix = store._write_target(db)
+            conn, prefix = store.backend.conn, db
             conn.execute(
                 f"UPDATE {prefix}.temporal_inputs SET refreshed_at = ?",
                 (now - 40.0,),

@@ -27,6 +27,7 @@ from repro.core import Candidate, CandidateMetrics
 from repro.data import DatasetSchema, FeatureSpec
 from repro.db import CandidateStore, ShardedSQLiteBackend
 from repro.exceptions import StorageError
+from test_store_backends import DIED_MID_WRITE, run_forked, upsert_then_die
 
 SCHEMA = DatasetSchema([FeatureSpec("f_a"), FeatureSpec("f_b")])
 USER_POOL = [f"user-{i}" for i in range(8)]
@@ -202,24 +203,14 @@ class TestRebalanceUnit:
         ) == len(leases_before)
 
     def test_rebalance_resolves_a_crashed_writers_group(self, tmp_path):
-        """A writer that died between the two commit phases leaves undo
-        journals behind — and the staging copy carries no journals, so
-        rebalance must resolve (roll back) the group first, even from a
-        store object opened *before* the crash whose own open-time
-        recovery never saw it."""
+        """A writer that died inside a multi-shard transaction leaves a
+        hot journal behind; rebalance — from a store opened *before* the
+        death — must migrate the rolled-back contents and leave no
+        journal or super-journal file."""
         path = tmp_path / "cands.db"
         keeper = CandidateStore(SCHEMA, path, backend="sharded", n_shards=3)
         populate(keeper, {uid: 2 for uid in USER_POOL})
         reference = snapshot(keeper)
-
-        doomed = CandidateStore(SCHEMA, path)
-        doomed.txn_grace_seconds = 0.0
-
-        def die_between_phases(stage):
-            if stage.startswith("prepared:"):
-                raise Killed(stage)
-
-        doomed.txn_fault_hook = die_between_phases
         rng = np.random.default_rng(5)
         cells = [
             (
@@ -231,17 +222,19 @@ class TestRebalanceUnit:
                         0,
                         CandidateMetrics(diff=9.0, gap=1, confidence=0.9),
                     )
-                ],
+                ]
+                * 200,
             )
             for uid in sorted(USER_POOL)
         ]
-        with pytest.raises(Killed):
-            doomed.upsert_cells(cells, fingerprints={0: "poison"})
-        doomed.txn_fault_hook = None
-        doomed.close()
+        exit_code = run_forked(upsert_then_die, SCHEMA, path, cells, {0: "poison"})
+        assert exit_code == DIED_MID_WRITE
+        assert list(tmp_path.glob("cands.db*-journal"))
 
         keeper.rebalance(5)
         assert snapshot(keeper) == reference
+        assert not list(tmp_path.glob("cands.db*-journal"))
+        assert not list(tmp_path.glob("cands.db*-mj*"))
         keeper.close()
         with CandidateStore(SCHEMA, path) as reopened:
             assert snapshot(reopened) == reference

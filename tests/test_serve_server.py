@@ -310,7 +310,7 @@ class TestFreshnessMeta:
 
         server, store = served
         stamp = _time.time() - 30.0
-        for conn, prefix in {store._write_target(db)
+        for conn, prefix in {(store.backend.conn, db)
                              for db in store.backend.schemas()}:
             conn.execute(f"UPDATE {prefix}.temporal_inputs SET refreshed_at = ?",
                          (stamp,))
@@ -673,7 +673,7 @@ class TestFreshnessClockSkew:
 
         server, store = served
         stamp = _time.time() - 30.0
-        for conn, prefix in {store._write_target(db)
+        for conn, prefix in {(store.backend.conn, db)
                              for db in store.backend.schemas()}:
             conn.execute(
                 f"UPDATE {prefix}.temporal_inputs SET refreshed_at = ?",
@@ -695,11 +695,11 @@ class TestFreshnessClockSkew:
         same immunity to a skewed CLI host."""
         import time as _time
 
-        from repro.app.cli import _bundle_freshness_seconds
+        from repro.serve import bundle_freshness_seconds
 
         _, store = served
         stamp = _time.time() - 30.0
-        for conn, prefix in {store._write_target(db)
+        for conn, prefix in {(store.backend.conn, db)
                              for db in store.backend.schemas()}:
             conn.execute(
                 f"UPDATE {prefix}.temporal_inputs SET refreshed_at = ?",
@@ -708,7 +708,7 @@ class TestFreshnessClockSkew:
             conn.commit()
         real = _time.time
         monkeypatch.setattr(_time, "time", lambda: real() - 7200.0)
-        age = _bundle_freshness_seconds(store, "u1")
+        age = bundle_freshness_seconds(store, "u1")
         assert age is not None
         # a host clock 2h *behind* would have produced a negative age
         assert 25.0 <= age <= 300.0

@@ -8,9 +8,9 @@ ordering, atomic claim/renew/release, expiry semantics, the indexed
 claim scan and the store-side clock) — consolidated here so every new
 backend automatically proves the whole refresh-coordination surface —
 and the **concurrency contract**: shard-count-invariant digests and
-stale ordering, parallel per-shard writes byte-identical to the serial
-path, two-phase group commits recovering from a kill at any seeded
-stage, and N concurrent writers with interleaved
+stale ordering, multi-shard batches that survive real process death
+(``os._exit`` inside the transaction, SIGKILL at seeded moments) whole
+or not at all, and N concurrent writers with interleaved
 claim/upsert/release converging to the serial digest (the storage
 torture section at the bottom).  Sharding-specific behaviour (routing,
 cross-shard reads) has its own class; *cross-connection* lease
@@ -18,7 +18,12 @@ behaviour (crash recovery, write-lock contention) needs multiple
 connections to one file and lives in ``tests/test_leases.py``.
 """
 
+import multiprocessing
+import os
+import re
 import shutil
+import signal
+import sqlite3
 import threading
 import time
 import zlib
@@ -715,15 +720,15 @@ class TestShardCountInvariance:
 
 # ---------------------------------------------------------------- torture
 #
-# The concurrency contract: the parallel per-shard write path must be
-# byte-identical to the serial one, a kill at any seeded stage of the
-# two-phase group commit must recover to a digest an uninterrupted run
-# could have produced, and N concurrent writers with interleaved
-# claim/upsert/release must converge to the serial drain's digest.
-# FakeClock (and the seeded crash-point pattern) come from the
+# The concurrency contract of the one write path: a batch is one router
+# transaction, so a writer that dies inside it — or is SIGKILLed at any
+# moment, commit included — leaves every shard either before or after
+# the whole batch (SQLite's super-journal does the recovery on the next
+# read), and N concurrent writers with interleaved claim/upsert/release
+# converge to the serial drain's digest.  FakeClock comes from the
 # fault-injection harness.
 
-from test_fault_injection import FakeClock, WorkerCrashed  # noqa: E402
+from test_fault_injection import FakeClock  # noqa: E402
 
 
 def torture_candidates(schema, user_id: str, t: int):
@@ -764,9 +769,7 @@ def serial_reference_digest(schema, tmp_path, backend) -> str:
     """Digest of a single-writer drain over the torture workload."""
     ref_dir = tmp_path / "reference"
     ref_dir.mkdir()
-    with CandidateStore(
-        schema, ref_dir / "cands.db", backend=backend, parallel_writes=False
-    ) as store:
+    with CandidateStore(schema, ref_dir / "cands.db", backend=backend) as store:
         populate_torture(store)
         clock = FakeClock(1000.0)
         while True:
@@ -788,53 +791,58 @@ def serial_reference_digest(schema, tmp_path, backend) -> str:
         return store.contents_digest()
 
 
+#: exit status of a writer that died where :func:`die_mid_write` put it
+DIED_MID_WRITE = 17
+
+_WRITE_TARGET_RE = re.compile(r"\s*(?:DELETE FROM|INSERT INTO|UPDATE)\s+(\w+)\.")
+
+
+def die_mid_write(store: CandidateStore, after: int = 40) -> None:
+    """Make this process ``os._exit`` inside its next write transaction.
+
+    It dies at the first statement that addresses a second schema — the
+    first shard's rows are applied, the others' are not — or, on a
+    one-schema store, at the ``after``-th write statement.  A one-page
+    cache makes SQLite spill the applied rows to the shard file before
+    the death, so the next open has a real hot journal to roll back.
+    Call it after any claims: their lease writes would trip it too.
+    """
+    conn, schemas = store.backend.conn, store.backend.schemas()
+    for db in schemas:
+        conn.execute(f"PRAGMA {db}.cache_size = 1")
+    targets: list[str] = []
+
+    def trace(statement: str) -> None:
+        match = _WRITE_TARGET_RE.match(statement)
+        if match is None:
+            return
+        targets.append(match.group(1))
+        if targets[-1] != targets[0] or (len(schemas) == 1 and len(targets) >= after):
+            os._exit(DIED_MID_WRITE)
+
+    conn.set_trace_callback(trace)
+
+
+def run_forked(target, *args) -> int:
+    """Run ``target(*args)`` in a forked process; returns its exit code."""
+    process = multiprocessing.get_context("fork").Process(target=target, args=args)
+    process.start()
+    process.join(timeout=120.0)
+    if process.is_alive():
+        process.kill()
+        process.join()
+        raise AssertionError("forked writer did not finish in 120 s")
+    return process.exitcode
+
+
 class TestParallelWritesIdentity:
-    """The parallel per-shard path is byte-identical to the serial one."""
-
-    def test_bulk_writes_match_serial_path(self, schema, tmp_path):
-        stores = {}
-        for label, parallel in (("serial", False), ("parallel", True)):
-            path = tmp_path / f"{label}.db"
-            with CandidateStore(
-                schema, path, backend="sharded", n_shards=4,
-                parallel_writes=parallel,
-            ) as s:
-                assert s.parallel_writes is parallel
-                populate_contents(s)
-                s.upsert_cells(
-                    [
-                        (u, 1, torture_candidates(schema, u, 1))
-                        for u in _content_users()
-                    ],
-                    fingerprints={0: "fp0", 1: "new1"},
-                )
-                s.clear_user(_content_users()[0], time=0)
-                stores[label] = s.contents_digest()
-        assert stores["serial"] == stores["parallel"]
-
-    def test_memory_sharded_keeps_single_connection_path(self, schema):
-        """In-memory shards are only reachable through the router's
-        ATTACHes — the backend must not advertise parallel writes, and
-        even a forced ``parallel_writes=True`` clamps back to serial
-        (the group-commit threads cannot share one connection)."""
-        with CandidateStore(schema, backend="sharded", n_shards=4) as s:
-            assert s.parallel_writes is False
-            conn, prefix = s.backend.write_connection("shard2")
-            assert conn is s.backend.conn
-            assert prefix == "shard2"
-        with CandidateStore(
-            schema, backend="sharded", n_shards=4, parallel_writes=True
-        ) as s:
-            assert s.parallel_writes is False
-            populate_contents(s)  # multi-shard batch still works
-            assert s.candidate_count() == 3 * len(_content_users())
+    """A batch spanning shards is one transaction: all or nothing."""
 
     def test_multi_shard_batch_failure_rolls_back_every_shard(
         self, schema, tmp_path
     ):
-        """Phase-1 failure on a later shard must unwind the shards that
-        already committed their prepared transactions (all-or-nothing,
-        like the old single-transaction path)."""
+        """A failure on a later shard must roll back the rows already
+        applied to the earlier shards (all-or-nothing)."""
         with CandidateStore(
             schema, tmp_path / "cands.db", backend="sharded", n_shards=4
         ) as s:
@@ -845,126 +853,201 @@ class TestParallelWritesIdentity:
                 for u in _content_users()
             ]
             # one cell of a user with no ledger row and no x_t → its
-            # shard's apply raises mid-phase-1
+            # shard's apply raises mid-batch
             cells.append(("ghost-user", 1, torture_candidates(schema, "ghost-user", 1)))
             with pytest.raises(StorageError, match="temporal_inputs"):
                 s.upsert_cells(cells, fingerprints={0: "fp0", 1: "new1"})
             assert s.contents_digest() == before
-            assert s.sql("SELECT COUNT(*) AS n FROM txn_pending")[0]["n"] == 0
 
+    def test_batch_takes_shards_in_ascending_order(self, schema):
+        """Two writers that took shards in opposite orders would each
+        hold the shard the other waits for until the busy timeout, so
+        every batch takes them in ascending order — whatever the order
+        of its cells."""
+        targets: list[str] = []
 
-class CrashingHook:
-    """Raise at the ``crash_at``-th group-commit stage — the seeded
-    crash-point pattern of ``tests/test_fault_injection.py`` applied to
-    the two-phase commit."""
+        def trace(statement: str) -> None:
+            match = _WRITE_TARGET_RE.match(statement)
+            if match is not None:
+                targets.append(match.group(1))
 
-    def __init__(self, crash_at: int):
-        self.crash_at = int(crash_at)
-        self.fired = 0
-        self.crashed_stage: str | None = None
-
-    def __call__(self, stage: str) -> None:
-        if self.fired >= self.crash_at:
-            self.crashed_stage = stage
-            raise WorkerCrashed(f"killed at group-commit stage {stage!r}")
-        self.fired += 1
-
-
-class TestGroupCommitCrashRecovery:
-    """Kill the writer at every seeded stage of the two-phase commit;
-    the reopened store must recover to the pre-write digest (killed
-    before the marker) or the post-write digest (killed after)."""
-
-    def _digests(self, schema, tmp_path):
-        """(initial files dir, pre digest, post digest of the group)."""
-        state = tmp_path / "state"
-        state.mkdir()
-        with CandidateStore(
-            schema, state / "cands.db", backend="sharded", n_shards=4
-        ) as s:
-            populate_torture(s)
-            pre = s.contents_digest()
-        post_dir = tmp_path / "post"
-        post_dir.mkdir()
-        replicate_store_files(state / "cands.db", post_dir)
-        with CandidateStore(schema, post_dir / "cands.db") as s:
-            self._group_upsert(s)
-            post = s.contents_digest()
-        return state, pre, post
-
-    @staticmethod
-    def _group_upsert(store):
-        return store.upsert_cells(
-            [
-                (u, t, torture_candidates(store.schema, u, t))
-                for u in _content_users()
-                for t in (0, 1)
-            ],
-            fingerprints=TORTURE_FPS,
-        )
-
-    def test_seeded_crash_stages(self, schema, tmp_path):
-        state, pre, post = self._digests(schema, tmp_path)
-        assert pre != post
-        rng = np.random.default_rng(0x27C)
-        # stages: pending, prepared:shard0..3, committed, released — and
-        # points beyond the last stage mean an uninterrupted run
-        points = sorted({0, 1, 7, *(int(p) for p in rng.integers(1, 7, size=4))})
-        for crash_at in points:
-            workdir = tmp_path / f"crash-{crash_at}"
-            workdir.mkdir()
-            replicate_store_files(state / "cands.db", workdir)
-            store = CandidateStore(schema, workdir / "cands.db")
-            store.txn_grace_seconds = 0.0  # the dead writer's group lease
-            hook = CrashingHook(crash_at)
-            store.txn_fault_hook = hook
-            crashed = False
-            try:
-                self._group_upsert(store)
-            except WorkerCrashed:
-                crashed = True
-            store.txn_fault_hook = None
-            store.close()
-            reopened = CandidateStore(schema, workdir / "cands.db")
-            digest = reopened.contents_digest()
-            if not crashed:
-                expected = post
-            elif hook.crashed_stage in ("committed", "released"):
-                expected = post  # marker written: recovery rolls forward
-            else:
-                expected = pre  # no marker: recovery rolls back
-            assert digest == expected, (
-                f"crash at stage {hook.crashed_stage!r} (op {crash_at})"
-                " left a store neither pre- nor post-write"
+        with CandidateStore(schema, backend="sharded", n_shards=4) as s:
+            populate_contents(s)
+            users = sorted(_content_users(), key=s.backend.schema_for, reverse=True)
+            s.backend.conn.set_trace_callback(trace)
+            s.upsert_cells(
+                [(u, 1, torture_candidates(schema, u, 1)) for u in users],
+                fingerprints={0: "fp0", 1: "new1"},
             )
-            # journals, markers and pending leases are all resolved
-            assert reopened.sql("SELECT COUNT(*) AS n FROM txn_pending")[0]["n"] == 0
-            for db in reopened.backend.schemas():
-                rows = reopened._read(f"SELECT COUNT(*) AS n FROM {db}.txn_journal")
-                assert rows[0]["n"] == 0
-            # and the rolled-back cells are stale again, so a drain
-            # converges to the post state either way
-            self._group_upsert(reopened)
-            assert reopened.contents_digest() == post
-            reopened.close()
+            s.backend.conn.set_trace_callback(None)
+        assert len(set(targets)) > 1
+        assert targets == sorted(targets)
+
+    def test_writers_on_different_shards_never_wait(self, schema, tmp_path):
+        """A router transaction locks only the shard files it writes:
+        while one handle holds a write on one shard, another commits to
+        a different shard at once instead of waiting out the busy
+        timeout."""
+        path = tmp_path / "cands.db"
+        with CandidateStore(schema, path, backend="sharded", n_shards=4) as s:
+            populate_torture(s)
+        with CandidateStore(schema, path) as holder, CandidateStore(
+            schema, path
+        ) as writer:
+            held = _content_users()[0]
+            other = next(
+                u for u in _content_users() if holder._db_for(u) != holder._db_for(held)
+            )
+            holder.backend.conn.execute(
+                f"DELETE FROM {holder._db_for(held)}.candidates WHERE user_id = ?",
+                (held,),
+            )
+            assert holder.backend.conn.in_transaction
+            start = time.monotonic()
+            writer.upsert_cells(
+                [(other, 0, torture_candidates(schema, other, 0))],
+                fingerprints=TORTURE_FPS,
+            )
+            elapsed = time.monotonic() - start
+            holder.backend.conn.rollback()
+        assert elapsed < 5.0
+
+
+def _cells(schema, fingerprints, rows_per_cell=1):
+    """Every torture cell with candidates that depend on ``fingerprints``
+    (so two batches with different fingerprints differ in every row)."""
+    salt = fingerprints[0]
+    return [
+        (u, t, torture_candidates(schema, f"{u}/{salt}", t) * rows_per_cell)
+        for u in _content_users()
+        for t in (0, 1)
+    ]
+
+
+def _write_batches_forever(schema, path, batches) -> None:
+    """Forked writer: upsert the multi-shard batches in turn until killed."""
+    store = CandidateStore(schema, path)
+    while True:
+        for cells, fingerprints in batches:
+            store.upsert_cells(cells, fingerprints=fingerprints)
+
+
+def upsert_then_die(schema, path, cells, fingerprints) -> None:
+    """Forked writer: die inside the transaction of one multi-shard upsert."""
+    store = CandidateStore(schema, path)
+    die_mid_write(store)
+    store.upsert_cells(cells, fingerprints=fingerprints)
+
+
+class TestMultiShardCommitCrash:
+    """Real process death around a multi-shard router transaction: the
+    reopened store is the store before or after the whole batch."""
+
+    @pytest.fixture
+    def sharded_path(self, schema, tmp_path):
+        path = tmp_path / "cands.db"
+        with CandidateStore(schema, path, backend="sharded", n_shards=4) as s:
+            populate_torture(s)
+        return path
+
+    def test_exit_inside_the_transaction_leaves_the_pre_write_digest(
+        self, schema, sharded_path, tmp_path
+    ):
+        """A writer dies once its first shard's rows are on disk: the
+        next open rolls that shard back to the pre-write contents."""
+        with CandidateStore(schema, sharded_path) as s:
+            pre = s.contents_digest()
+            first = s.backend.schemas()[0]
+        pristine = tmp_path / "pristine"
+        pristine.mkdir()
+        replicate_store_files(sharded_path, pristine)
+        cells = _cells(schema, TORTURE_FPS, rows_per_cell=30)
+        exit_code = run_forked(
+            upsert_then_die, schema, sharded_path, cells, TORTURE_FPS
+        )
+        assert exit_code == DIED_MID_WRITE
+        # the first shard's rows reached its file before the death
+        shard_file = f"{sharded_path.name}.{first}"
+        written = (sharded_path.parent / shard_file).read_bytes()
+        assert written != (pristine / shard_file).read_bytes()
+        with CandidateStore(schema, sharded_path) as s:
+            assert s.contents_digest() == pre
+            assert s.stale_cells(TORTURE_FPS) == sorted(
+                (u, t) for u, t, _ in cells
+            )
+        assert not list(tmp_path.glob("cands.db*-journal"))
+
+    def test_sigkill_at_seeded_moments_never_tears_a_batch(
+        self, schema, sharded_path, tmp_path
+    ):
+        """SIGKILL a writer looping two alternating multi-shard batches
+        at seeded delays: after every kill the store holds the pre-write
+        contents, batch A's or batch B's — never a mix."""
+        fps_a = {0: "a0", 1: "a1"}
+        fps_b = {0: "b0", 1: "b1"}
+        batches = [(_cells(schema, fps_a), fps_a), (_cells(schema, fps_b), fps_b)]
+        with CandidateStore(schema, sharded_path) as s:
+            pre = s.contents_digest()
+        expected = {pre: "pre"}
+        for label, (cells, fps) in zip("AB", batches):
+            replica = tmp_path / f"replica-{label}"
+            replica.mkdir()
+            replicate_store_files(sharded_path, replica)
+            with CandidateStore(schema, replica / sharded_path.name) as s:
+                s.upsert_cells(cells, fingerprints=fps)
+                expected[s.contents_digest()] = label
+        assert len(expected) == 3
+        rng = np.random.default_rng(0x5EED)
+        seen = []
+        for delay in rng.uniform(0.02, 0.3, size=12):
+            process = multiprocessing.get_context("fork").Process(
+                target=_write_batches_forever,
+                args=(schema, sharded_path, batches),
+            )
+            process.start()
+            time.sleep(float(delay))
+            process.kill()
+            process.join(timeout=60.0)
+            assert process.exitcode == -signal.SIGKILL
+            with CandidateStore(schema, sharded_path) as s:
+                digest = s.contents_digest()
+            assert digest in expected, f"torn store after a {delay:.3f} s kill"
+            seen.append(expected[digest])
+        # some kills landed after the writer had committed a batch
+        assert {"A", "B"} & set(seen)
+
+    def test_wal_file_is_refused(self, schema, sharded_path):
+        with CandidateStore(schema, sharded_path) as s:
+            digest = s.contents_digest()
+        for target in (f"{sharded_path}.shard2", str(sharded_path)):
+            conn = sqlite3.connect(target)
+            assert conn.execute("PRAGMA journal_mode = WAL").fetchone()[0] == "wal"
+            conn.close()
+            with pytest.raises(StorageError, match="journal_mode=wal"):
+                CandidateStore(schema, sharded_path)
+            conn = sqlite3.connect(target)
+            conn.execute("PRAGMA journal_mode = DELETE")
+            conn.close()
+        with CandidateStore(schema, sharded_path) as s:
+            assert s.contents_digest() == digest
 
 
 @pytest.mark.parametrize("backend", ["sqlite", "sharded"])
 class TestConcurrentWriterTorture:
     """N writers, each with its **own** store connection to one shared
     file-backed database, interleaving claim / upsert / release (plus a
-    kill-mid-commit variant) must converge to the serial drain's
+    writer killed mid-transaction) must converge to the serial drain's
     digest with a clean ledger and no lingering leases."""
 
     N_WRITERS = 3
 
     def _drain_worker(self, schema, path, backend, worker_id, failures,
-                      prefer_schema=None):
+                      prefer_schema=None, limit=2, batches=None):
         store = CandidateStore(schema, path, backend=backend)
         try:
             while True:
                 claimed = store.claim_stale_cells(
-                    TORTURE_FPS, worker_id, limit=2,
+                    TORTURE_FPS, worker_id, limit=limit,
                     lease_seconds=60.0, prefer_schema=prefer_schema,
                 )
                 if not claimed:
@@ -972,6 +1055,8 @@ class TestConcurrentWriterTorture:
                         break
                     time.sleep(0.005)
                     continue
+                if batches is not None:
+                    batches.append({store.backend.schema_for(u) for u, _ in claimed})
                 store.upsert_cells(
                     [
                         (u, t, torture_candidates(schema, u, t))
@@ -985,9 +1070,9 @@ class TestConcurrentWriterTorture:
         finally:
             store.close()
 
-    def test_threaded_writers_converge_to_serial_digest(
-        self, schema, tmp_path, backend
-    ):
+    def _converge(self, schema, tmp_path, backend, affinity):
+        """Run the threaded writers; returns the schema sets of their
+        upsert batches."""
         expected = serial_reference_digest(schema, tmp_path, backend)
         workdir = tmp_path / "torture"
         workdir.mkdir()
@@ -995,20 +1080,20 @@ class TestConcurrentWriterTorture:
             schema, workdir / "cands.db", backend=backend, n_shards=4
         ) as s:
             populate_torture(s)
-        schemas = None
-        if backend == "sharded":
-            with CandidateStore(schema, workdir / "cands.db") as s:
-                schemas = s.backend.schemas()
+            schemas = s.backend.schemas()
         failures: list = []
+        batches: list = []
         threads = [
             threading.Thread(
                 target=self._drain_worker,
                 args=(schema, workdir / "cands.db", backend, f"w{i}", failures),
-                kwargs={
-                    # sharded: pin each writer to a home shard, the
-                    # parallel write path's deployment shape
-                    "prefer_schema": schemas[i % len(schemas)] if schemas else None
-                },
+                kwargs=(
+                    # pin each writer to a home shard
+                    {"prefer_schema": schemas[i % len(schemas)]}
+                    if affinity
+                    # odd batches straddle users, so claims span shards
+                    else {"limit": 3, "batches": batches}
+                ),
             )
             for i in range(self.N_WRITERS)
         ]
@@ -1016,49 +1101,51 @@ class TestConcurrentWriterTorture:
             thread.start()
         for thread in threads:
             thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
         assert not failures, failures
         with CandidateStore(schema, workdir / "cands.db", backend=backend) as s:
             s.prune_expired_leases()
             assert s.stale_cells(TORTURE_FPS) == []
             assert s.lease_rows() == []
             assert s.contents_digest() == expected
+        return batches
+
+    def test_threaded_writers_converge_to_serial_digest(
+        self, schema, tmp_path, backend
+    ):
+        self._converge(schema, tmp_path, backend, affinity=True)
+
+    def test_threaded_writers_without_affinity_converge_to_serial_digest(
+        self, schema, tmp_path, backend
+    ):
+        batches = self._converge(schema, tmp_path, backend, affinity=False)
+        if backend == "sharded":
+            assert any(len(schemas) > 1 for schemas in batches)
 
     def test_kill_mid_commit_then_survivor_converges(
         self, schema, tmp_path, backend
     ):
-        """One writer dies between phase 1 and phase 2 of a multi-shard
-        group commit; recovery rolls its cells back to stale and a
-        survivor drains them — the final digest still equals the serial
-        run's."""
+        """A forked writer claims every cell and dies inside its upsert
+        transaction; the survivor reclaims the expired leases and drains
+        — the final digest still equals the serial run's."""
         expected = serial_reference_digest(schema, tmp_path, backend)
         workdir = tmp_path / "kill"
         workdir.mkdir()
-        with CandidateStore(
-            schema, workdir / "cands.db", backend=backend, n_shards=4
-        ) as s:
+        path = workdir / "cands.db"
+        with CandidateStore(schema, path, backend=backend, n_shards=4) as s:
             populate_torture(s)
         clock = FakeClock(1000.0)
-        doomed = CandidateStore(schema, workdir / "cands.db", backend=backend)
-        doomed.txn_grace_seconds = 0.0
-        claimed = doomed.claim_stale_cells(
-            TORTURE_FPS, "doomed", limit=99, now=clock(), lease_seconds=30.0
+        exit_code = run_forked(
+            self._claim_all_then_die, schema, path, backend, clock()
         )
-        assert len(claimed) == len(_content_users()) * 2
-        # die between phase 1 and the commit marker (on sqlite the batch
-        # is one schema → one transaction, the kill lands before it)
-        doomed.txn_fault_hook = CrashingHook(len(doomed.backend.schemas()))
-        cells = [
-            (u, t, torture_candidates(schema, u, t)) for u, t in claimed
-        ]
-        if doomed.parallel_writes:
-            with pytest.raises(WorkerCrashed):
-                doomed.upsert_cells(cells, fingerprints=TORTURE_FPS)
-        doomed.close()
-        # survivor: new connection, recovery on open; the dead writer's
-        # leases are reclaimable once expired
+        assert exit_code == DIED_MID_WRITE
+        # survivor: new connection; the dead writer's rows rolled back,
+        # its leases are reclaimable once expired
         clock.now += 31.0
-        survivor = CandidateStore(schema, workdir / "cands.db", backend=backend)
-        assert survivor.stale_cells(TORTURE_FPS) == sorted(claimed)
+        survivor = CandidateStore(schema, path, backend=backend)
+        every_cell = [(u, t) for u in _content_users() for t in (0, 1)]
+        assert survivor.stale_cells(TORTURE_FPS) == every_cell
+        assert {w for _, _, w, _ in survivor.lease_rows()} == {"doomed"}
         while True:
             got = survivor.claim_stale_cells(
                 TORTURE_FPS, "survivor", limit=3, now=clock()
@@ -1075,6 +1162,19 @@ class TestConcurrentWriterTorture:
         assert survivor.lease_rows() == []
         assert survivor.contents_digest() == expected
         survivor.close()
+
+    @staticmethod
+    def _claim_all_then_die(schema, path, backend, now) -> None:
+        store = CandidateStore(schema, path, backend=backend)
+        claimed = store.claim_stale_cells(
+            TORTURE_FPS, "doomed", limit=99, now=now, lease_seconds=30.0
+        )
+        assert len(claimed) == len(_content_users()) * 2
+        die_mid_write(store)
+        store.upsert_cells(
+            [(u, t, torture_candidates(schema, u, t)) for u, t in claimed],
+            fingerprints=TORTURE_FPS,
+        )
 
 
 class TestClaimAffinity:
