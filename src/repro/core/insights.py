@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro.core.candidates import Candidate
 from repro.core.objectives import CandidateMetrics
 from repro.core.plans import Plan, build_plan
@@ -96,6 +98,10 @@ class InsightEngine:
         self.store = store
         self.user_id = user_id
         self.time_values = list(time_values)
+        #: temporal input per time point, read once per engine (the
+        #: server builds one engine per render attempt, so a retry after
+        #: a refresh reads afresh)
+        self._inputs: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------- helpers
 
@@ -104,9 +110,15 @@ class InsightEngine:
             return self.time_values[t]
         return float(t)
 
+    def _temporal_input(self, t: int) -> np.ndarray:
+        base = self._inputs.get(t)
+        if base is None:
+            base = self._inputs[t] = self.store.temporal_input(self.user_id, t)
+        return base
+
     def _plan_from_row(self, row: dict[str, Any]) -> Plan:
         t = int(row["time"])
-        base = self.store.temporal_input(self.user_id, t)
+        base = self._temporal_input(t)
         x = self.store.row_to_vector(row)
         candidate = Candidate(
             x,

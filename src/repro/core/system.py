@@ -767,9 +767,13 @@ class UserSession:
         # session factories when the constraint list is serialisable; the
         # fused engine uses it as part of its cell-dedup key.
         self.constraints_key: str | None = None
-        self.engine = InsightEngine(
-            system.store, user_id, system.time_values
-        )
+        self._time_values = system.time_values
+
+    @property
+    def engine(self) -> InsightEngine:
+        """A fresh query engine: an engine keeps the temporal inputs it
+        has read, so none may outlive a re-ingest of this user."""
+        return InsightEngine(self.system.store, self.user_id, self._time_values)
 
     # ------------------------------------------------------------ insights
 

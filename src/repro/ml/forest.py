@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import BaseClassifier, as_rng, check_X, check_X_y, check_fitted
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, TreePack
 
 __all__ = ["RandomForestClassifier"]
 
@@ -75,6 +75,7 @@ class RandomForestClassifier(BaseClassifier):
     def fit(self, X, y) -> "RandomForestClassifier":
         X, y = check_X_y(X, y)
         self._split_thresholds_cache = None
+        self.__dict__.pop("_pack", None)
         n, d = X.shape
         self.n_features_ = d
         rng = as_rng(self.random_state)
@@ -116,10 +117,12 @@ class RandomForestClassifier(BaseClassifier):
         check_fitted(self, "trees_")
         X = check_X(X)
         self._check_n_features(X)
-        scores = np.zeros(X.shape[0])
-        for tree in self.trees_:
-            scores += tree.decision_score(X)
-        p1 = scores / len(self.trees_)
+        # built on first use, never in fit: an unscored forest's state,
+        # and so its content fingerprint, does not hold the pack
+        pack = getattr(self, "_pack", None)
+        if pack is None:
+            pack = self._pack = TreePack(self.trees_)
+        p1 = pack.score_sum(X) / len(self.trees_)
         return np.column_stack([1.0 - p1, p1])
 
     def split_thresholds(self) -> dict[int, np.ndarray]:

@@ -133,7 +133,7 @@ class DecisionTreeClassifier(BaseClassifier):
         self.n_features_: int | None = None
         self.n_nodes_: int | None = None
         self.feature_importances_: np.ndarray | None = None
-        self._flat: tuple[np.ndarray, ...] | None = None
+        self._flat: TreePack | None = None
 
     # ------------------------------------------------------------------ fit
 
@@ -264,54 +264,16 @@ class DecisionTreeClassifier(BaseClassifier):
 
     # -------------------------------------------------------------- predict
 
-    def _leaf_for(self, x: np.ndarray) -> TreeNode:
-        node = self.root_
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node
-
-    def _flat_tree(self) -> tuple[np.ndarray, ...]:
-        """Array form of the fitted tree for vectorized prediction.
-
-        ``feature[i] == -1`` marks node ``i`` as a leaf.  Probabilities
-        use the exact :attr:`TreeNode.probability` formula, so batched
-        prediction is bit-identical to node-walk prediction.
-        """
-        # getattr: objects unpickled from pre-batch saves lack the slot
-        if getattr(self, "_flat", None) is None:
-            n = self.n_nodes_
-            feature = np.full(n, -1, dtype=np.int64)
-            threshold = np.zeros(n)
-            left = np.zeros(n, dtype=np.int64)
-            right = np.zeros(n, dtype=np.int64)
-            prob = np.zeros(n)
-            for node in self.root_.iter_nodes():
-                i = node.node_id
-                prob[i] = node.probability
-                if not node.is_leaf:
-                    feature[i] = node.feature
-                    threshold[i] = node.threshold
-                    left[i] = node.left.node_id
-                    right[i] = node.right.node_id
-            self._flat = (feature, threshold, left, right, prob)
-        return self._flat
-
     def predict_proba(self, X) -> np.ndarray:
         X = check_X(X)
         self._check_n_features(X)
-        feature, threshold, left, right, prob = self._flat_tree()
-        position = np.zeros(X.shape[0], dtype=np.int64)
-        # level-wise descent: one vectorized step routes every sample that
-        # is still at an internal node
-        active = np.flatnonzero(feature[position] >= 0)
-        while active.size:
-            current = position[active]
-            go_left = (
-                X[active, feature[current]] <= threshold[current]
-            )
-            position[active] = np.where(go_left, left[current], right[current])
-            active = active[feature[position[active]] >= 0]
-        p1 = prob[position]
+        # a lone tree is a one-tree pack, built on first use; getattr and
+        # isinstance: pickles from older versions lack ``_flat`` or hold
+        # the per-tree array tuple it replaced
+        pack = getattr(self, "_flat", None)
+        if not isinstance(pack, TreePack):
+            pack = self._flat = TreePack([self])
+        p1 = pack.score_sum(X)
         return np.column_stack([1.0 - p1, p1])
 
     # ---------------------------------------------------------- introspection
@@ -361,6 +323,90 @@ class DecisionTreeClassifier(BaseClassifier):
         if self.root_ is None:
             raise ValidationError("tree is not fitted")
         return [node for node in self.root_.iter_nodes() if node.is_leaf]
+
+
+class TreePack:
+    """Fitted trees as one set of flat arrays, scored by one descent.
+
+    Every tree's nodes are concatenated at a node offset.  Pack node
+    ``i`` tests ``x[feature[i]] <= threshold[i]`` and moves to
+    ``child[2 * i + 1]`` when the test holds, else to ``child[2 * i]``.
+    A leaf is a self-loop — feature 0, threshold ``+inf``, both children
+    itself — so a row at a leaf stays there (``X`` is finite after
+    :func:`~repro.ml.base.check_X`) and the descent keeps no active set.
+    Trees are stored deepest first: step ``k`` advances only the prefix
+    of trees deeper than ``k``, so one deep tree does not make the
+    shallow ones pay its depth.
+
+    Leaf probabilities use the exact :attr:`TreeNode.probability`
+    formula and are added one tree at a time in the given tree order,
+    as a loop of per-tree predictions would add them, so scores are
+    bit-identical to the node walk of
+    :meth:`DecisionTreeClassifier.decision_path`.
+    """
+
+    __slots__ = ("feature", "threshold", "child", "prob", "roots", "steps", "rank")
+
+    def __init__(self, trees) -> None:
+        flat = [_flat_nodes(tree.root_) for tree in trees]
+        depth = np.array([tree_depth for *_, tree_depth in flat])
+        order = np.argsort(-depth, kind="stable")
+        feature, threshold, child, prob, _ = zip(*(flat[j] for j in order))
+        self.roots = np.cumsum([0] + [nodes.size for nodes in feature[:-1]])
+        self.feature = np.concatenate(feature)
+        self.threshold = np.concatenate(threshold)
+        self.child = np.concatenate([c + root for c, root in zip(child, self.roots)])
+        self.prob = np.concatenate(prob)
+        #: steps[k]: how many trees (a prefix, deepest first) are deeper than k
+        self.steps = [int(np.count_nonzero(depth > k)) for k in range(depth.max())]
+        #: rank[j]: the pack row holding tree j of the given order
+        self.rank = np.argsort(order, kind="stable")
+
+    def score_sum(self, X: np.ndarray) -> np.ndarray:
+        """Each row's leaf probabilities summed over the trees, in order."""
+        n, d = X.shape
+        flat_X = X.ravel()
+        row_start = np.arange(0, n * d, d)
+        pos = np.repeat(self.roots[:, None], n, axis=1)
+        for active in self.steps:
+            at = pos[:active]
+            go_left = (
+                flat_X.take(self.feature.take(at) + row_start)
+                <= self.threshold.take(at)
+            )
+            pos[:active] = self.child.take(2 * at + go_left)
+        leaf_prob = self.prob.take(pos)
+        # one tree at a time, in tree order: np.sum over the tree axis
+        # adds pairwise and would move the last bit
+        total = np.zeros(n)
+        for row in self.rank:
+            total += leaf_prob[row]
+        return total
+
+
+def _flat_nodes(root: TreeNode) -> tuple:
+    """``(feature, threshold, child, prob, depth)`` of one tree, indexed
+    by ``node_id`` with leaves as self-loops (see :class:`TreePack`)."""
+    feature, threshold, child, prob = [], [], [], []
+    depth = 0
+    for node in root.iter_nodes():  # pre-order: position == node_id
+        prob.append(node.probability)
+        depth = max(depth, node.depth)
+        if node.is_leaf:
+            feature.append(0)
+            threshold.append(np.inf)
+            child += (node.node_id, node.node_id)
+        else:
+            feature.append(node.feature)
+            threshold.append(node.threshold)
+            child += (node.right.node_id, node.left.node_id)
+    return (
+        np.array(feature, dtype=np.intp),
+        np.array(threshold, dtype=float),
+        np.array(child, dtype=np.intp),
+        np.array(prob, dtype=float),
+        depth,
+    )
 
 
 def _entropy_vec(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ import types
 
 import numpy as np
 
-__all__ = ["canonical_bytes", "content_fingerprint", "model_fingerprint"]
+__all__ = ["canonical_bytes", "content_fingerprint", "model_fingerprint", "walk_models"]
 
 #: Digest length (hex chars) stored per model; 64 bits of SHA-256 is
 #: plenty for "did this model change" comparisons.
@@ -140,6 +140,23 @@ def content_fingerprint(*parts) -> str:
     return digest.hexdigest()[:_DIGEST_CHARS]
 
 
+def walk_models(models) -> list:
+    """:func:`canonical_bytes` of each model, walked once per distinct
+    object (strategies ``last`` and ``full`` reuse one model for every
+    time point).
+
+    Returns one pre-rendered entry per model, to pass as the ``model``
+    of :func:`model_fingerprint`: the digest is the same as for the
+    model itself.  Walk a model before anything scores it — the walk
+    covers the whole instance state, prediction caches included.
+    """
+    walked: dict[int, _Emit] = {}
+    for model in models:
+        if id(model) not in walked:
+            walked[id(model)] = _Emit(canonical_bytes(model))
+    return [walked[id(model)] for model in models]
+
+
 def model_fingerprint(
     model,
     threshold: float,
@@ -153,6 +170,7 @@ def model_fingerprint(
     widths, half lives, herd sizes, ...); ``random_state`` the generator
     seed.  The fitted model contributes its full learned state, so two
     models agree on the fingerprint iff they are the same function.
+    ``model`` may also be an entry of :func:`walk_models`.
     """
     return content_fingerprint(
         "strategy",

@@ -47,7 +47,7 @@ from repro.ml.linear import LogisticRegression
 from repro.ml.preprocessing import StandardScaler
 from repro.temporal.edd import EDDPredictor
 from repro.temporal.embedding import RBFKernel, median_heuristic_gamma
-from repro.temporal.fingerprint import model_fingerprint
+from repro.temporal.fingerprint import model_fingerprint, walk_models
 from repro.temporal.herding import herd
 from repro.temporal.thresholds import calibrate_threshold
 
@@ -560,9 +560,12 @@ class ModelsGenerator:
             raise ForecastError(
                 f"strategy produced {len(models)} models for {len(times)} times"
             )
+        # walked before calibration scores a model: the fingerprint is
+        # of the fitted model, not of the prediction caches it builds
+        walks = walk_models(models)
         reference = ForecastStrategy._recent_window(history, 2 * self.delta)
         future = []
-        for t, (tau, model) in enumerate(zip(times, models)):
+        for t, (tau, model, walk) in enumerate(zip(times, models, walks)):
             threshold = calibrate_threshold(
                 model,
                 reference.X,
@@ -572,7 +575,7 @@ class ModelsGenerator:
                 target_rate=self.target_rate,
             )
             fingerprint = model_fingerprint(
-                model, threshold, self.strategy, self.random_state
+                walk, threshold, self.strategy, self.random_state
             )
             future.append(FutureModel(t, tau, model, threshold, fingerprint))
         return FutureModels(future, delta=self.delta, now=now)

@@ -1,10 +1,12 @@
 """Tests for the random forest (the paper's model class)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.exceptions import NotFittedError
-from repro.ml import RandomForestClassifier, roc_auc_score
+from repro.ml import DecisionTreeClassifier, RandomForestClassifier, roc_auc_score
 
 
 class TestFitPredict:
@@ -93,3 +95,112 @@ class TestIntrospection:
 
     def test_n_nodes_positive(self, fitted_forest):
         assert fitted_forest.n_nodes() > len(fitted_forest.trees_)
+
+
+def node_walk_scores(trees, X):
+    """Reference forest scores: each tree's ``decision_path`` leaf
+    probability, summed in tree order and divided by the tree count."""
+    scores = np.empty(len(X))
+    for i, row in enumerate(X):
+        total = 0.0
+        for tree in trees:
+            total += tree.decision_path(row)[-1].probability
+        scores[i] = total / len(trees)
+    return scores
+
+
+def assert_bits_equal(actual, expected):
+    assert actual.dtype == expected.dtype == np.float64
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def comb_tree(n_features, depth=36):
+    """A chain-shaped tree of exactly ``depth`` levels: alternating labels
+    along feature 0 make every split peel one sample off the end."""
+    X = np.zeros((depth + 1, n_features))
+    X[:, 0] = np.arange(depth + 1.0)
+    tree = DecisionTreeClassifier(max_depth=None).fit(X, np.arange(depth + 1) % 2)
+    assert tree.depth() == depth
+    return tree
+
+
+def on_thresholds(forest, X):
+    """Copies of ``X`` with one feature set exactly to a split threshold
+    (``x <= threshold`` routes left)."""
+    rows = []
+    for feature, values in forest.split_thresholds().items():
+        block = X[: len(values)].copy()
+        block[:, feature] = values[: len(block)]
+        rows.append(block)
+    return np.vstack(rows)
+
+
+class TestPackedDescent:
+    """The forest scores every tree in one packed descent; its scores
+    must equal the per-tree node walk bit for bit."""
+
+    def test_matches_node_walk_on_lending(self, fitted_forest, lending_ds):
+        X = lending_ds.X[:200]
+        assert_bits_equal(
+            fitted_forest.decision_score(X),
+            node_walk_scores(fitted_forest.trees_, X),
+        )
+
+    def test_single_leaf_trees(self, small_xy):
+        X, _ = small_xy
+        rf = RandomForestClassifier(n_estimators=4, random_state=0)
+        rf.fit(X, np.ones(len(X), dtype=int))
+        assert all(tree.root_.is_leaf for tree in rf.trees_)
+        assert_bits_equal(rf.decision_score(X), node_walk_scores(rf.trees_, X))
+
+    def test_unbounded_trees_of_mixed_depth(self, rng):
+        X = rng.normal(size=(400, 4))
+        y = (X[:, 0] + rng.normal(0.0, 0.8, size=400) > 0).astype(int)
+        rf = RandomForestClassifier(n_estimators=12, max_depth=None, random_state=3)
+        rf.fit(X, y)
+        assert len({tree.depth() for tree in rf.trees_}) > 1
+        probe = rng.normal(size=(300, 4))
+        assert_bits_equal(rf.decision_score(probe), node_walk_scores(rf.trees_, probe))
+
+    def test_rows_on_split_thresholds_route_left(self, fitted_forest, lending_ds):
+        X = on_thresholds(fitted_forest, lending_ds.X[:400])
+        assert_bits_equal(
+            fitted_forest.decision_score(X),
+            node_walk_scores(fitted_forest.trees_, X),
+        )
+
+    def test_one_row_batches(self, fitted_forest, lending_ds):
+        X = lending_ds.X[:40]
+        one_by_one = np.array([fitted_forest.decision_score(row)[0] for row in X])
+        assert_bits_equal(one_by_one, node_walk_scores(fitted_forest.trees_, X))
+
+    def test_shallow_trees_beside_one_deep_tree(self, rng):
+        """24 depth-3 trees and one depth-36 tree: the deep tree's steps
+        advance it alone, and every tree keeps its place in the sum."""
+        X = rng.normal(size=(300, 3))
+        X[:, 0] = rng.uniform(-1.0, 38.0, size=300)
+        y = (X[:, 1] > 0).astype(int)
+        rf = RandomForestClassifier(n_estimators=24, max_depth=3, random_state=0)
+        rf.fit(X, y)
+        deep = comb_tree(3)
+        rf.trees_.insert(10, deep)
+        probe = np.vstack([X, np.column_stack([np.arange(-1.0, 38.0, 0.5),
+                                               np.zeros((78, 2))])])
+        assert_bits_equal(rf.decision_score(probe), node_walk_scores(rf.trees_, probe))
+
+    def test_forest_pickled_before_first_prediction(self, lending_ds):
+        recent = lending_ds.window(2017, 2020)
+        rf = RandomForestClassifier(n_estimators=8, max_depth=8, random_state=0)
+        restored = pickle.loads(pickle.dumps(rf.fit(recent.X, recent.y)))
+        X = lending_ds.X[:100]
+        assert_bits_equal(restored.decision_score(X), node_walk_scores(rf.trees_, X))
+
+    def test_pack_is_built_on_first_prediction_only(self, small_xy):
+        X, y = small_xy
+        rf = RandomForestClassifier(n_estimators=3, random_state=0).fit(X, y)
+        assert "_pack" not in vars(rf)
+        rf.decision_score(X[:5])
+        assert "_pack" in vars(rf)
+        rf.fit(X[:150], y[:150])
+        assert "_pack" not in vars(rf)
+        assert_bits_equal(rf.decision_score(X), node_walk_scores(rf.trees_, X))

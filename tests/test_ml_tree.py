@@ -1,5 +1,7 @@
 """Tests for the CART decision tree."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,3 +170,74 @@ class TestDeterminism:
         tree = DecisionTreeClassifier(max_depth=4).fit(X, y)
         scores = tree.decision_score(X)
         assert ((scores >= 0) & (scores <= 1)).all()
+
+
+def node_walk_scores(tree, X):
+    """Reference scores: the probability of each row's ``decision_path`` leaf."""
+    return np.array([tree.decision_path(row)[-1].probability for row in X])
+
+
+def assert_bits_equal(actual, expected):
+    assert actual.dtype == expected.dtype == np.float64
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+class TestPackedDescent:
+    """A lone tree scores as a one-tree pack; its scores must equal the
+    node walk of ``decision_path`` bit for bit."""
+
+    def test_single_leaf_tree(self, small_xy):
+        X, _ = small_xy
+        tree = DecisionTreeClassifier().fit(X, np.zeros(len(X), dtype=int))
+        assert tree.root_.is_leaf
+        assert_bits_equal(tree.decision_score(X), node_walk_scores(tree, X))
+
+    def test_unbounded_depth(self, rng):
+        X = rng.normal(size=(500, 3))
+        y = rng.integers(0, 2, size=500)
+        tree = DecisionTreeClassifier(max_depth=None, random_state=0).fit(X, y)
+        assert tree.depth() > 10
+        probe = np.vstack([X, rng.normal(size=(200, 3))])
+        assert_bits_equal(tree.decision_score(probe), node_walk_scores(tree, probe))
+
+    def test_depth_36_chain(self):
+        X = np.zeros((37, 2))
+        X[:, 0] = np.arange(37.0)
+        tree = DecisionTreeClassifier().fit(X, np.arange(37) % 2)
+        assert tree.depth() == 36
+        probe = np.column_stack([np.arange(-1.0, 38.0, 0.25), np.zeros(156)])
+        assert_bits_equal(tree.decision_score(probe), node_walk_scores(tree, probe))
+
+    def test_rows_on_split_thresholds_route_left(self, small_xy):
+        X, y = small_xy
+        tree = DecisionTreeClassifier(max_depth=6).fit(X, y)
+        rows = []
+        for feature, values in tree.split_thresholds().items():
+            block = X[: len(values)].copy()
+            block[:, feature] = values
+            rows.append(block)
+        probe = np.vstack(rows)
+        assert_bits_equal(tree.decision_score(probe), node_walk_scores(tree, probe))
+
+    def test_one_row_batches(self, small_xy):
+        X, y = small_xy
+        tree = DecisionTreeClassifier(max_depth=5).fit(X, y)
+        one_by_one = np.array([tree.decision_score(row)[0] for row in X[:30]])
+        assert_bits_equal(one_by_one, node_walk_scores(tree, X[:30]))
+
+    def test_pickled_before_first_prediction(self, small_xy):
+        X, y = small_xy
+        tree = DecisionTreeClassifier(max_depth=5).fit(X, y)
+        restored = pickle.loads(pickle.dumps(tree))
+        assert_bits_equal(restored.decision_score(X), node_walk_scores(tree, X))
+
+    def test_older_pickles_still_score(self, small_xy):
+        """Trees saved by older versions lack ``_flat`` or hold the
+        per-tree array tuple the pack replaced; both rebuild the pack."""
+        X, y = small_xy
+        tree = DecisionTreeClassifier(max_depth=5).fit(X, y)
+        expected = node_walk_scores(tree, X)
+        tree._flat = (np.zeros(1), np.zeros(1))
+        assert_bits_equal(tree.decision_score(X), expected)
+        del tree._flat
+        assert_bits_equal(tree.decision_score(X), expected)

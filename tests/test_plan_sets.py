@@ -287,6 +287,28 @@ class TestInsightAlternatives:
         if insight.answer is not None:
             assert len(insight.alternatives) >= 1
 
+    def test_bundle_reads_each_temporal_input_once(self, populated, monkeypatch):
+        """A ``plans=3`` bundle builds several plans per time point from
+        one engine; each time point's input is read from the store once."""
+        store = populated.store
+        real = store.temporal_input
+        reads = []
+
+        def counting(user_id, time):
+            reads.append(time)
+            return real(user_id, time)
+
+        monkeypatch.setattr(store, "temporal_input", counting)
+        engine = InsightEngine(store, "pu0", populated.time_values)
+        feature = populated.schema.names[int(populated.schema.mutable_indices()[0])]
+        for qid, params in (
+            ("q1", {}), ("q2", {}), ("q3", {"feature": feature}),
+            ("q4", {}), ("q5", {}), ("q6", {"alpha": 0.8}),
+        ):
+            engine.ask(qid, plans=3, **params)
+        assert reads
+        assert len(reads) == len(set(reads))
+
     def test_legacy_rows_yield_no_alternatives(self, schema, john):
         with CandidateStore(schema, backend="memory") as store:
             store.store_temporal_inputs(

@@ -19,9 +19,13 @@ from repro.data import (
     make_lending_dataset,
 )
 from repro.exceptions import ForecastError
+from repro.ml import RandomForestClassifier
+from repro.ml.base import as_rng
 from repro.temporal import (
+    ModelsGenerator,
     PerPeriodStrategy,
     content_fingerprint,
+    fingerprint,
     lending_update_function,
     model_fingerprint,
 )
@@ -113,6 +117,45 @@ class TestFingerprints:
         a = model_fingerprint(fitted_forest, 0.5, strategy, 0)
         b = model_fingerprint(fitted_forest, 0.6, strategy, 0)
         assert a != b
+
+    def test_generate_walks_a_reused_model_once(self, history, monkeypatch):
+        """Strategy ``last`` reuses one forest for all T + 1 time points;
+        ``generate`` serialises it for fingerprinting once, not per t."""
+        walked = []
+        real = fingerprint.canonical_bytes
+
+        def counting(obj):
+            if isinstance(obj, RandomForestClassifier):
+                walked.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(fingerprint, "canonical_bytes", counting)
+        future = ModelsGenerator(T=5, strategy="last", random_state=0).generate(
+            history
+        )
+        assert len({id(fm.model) for fm in future}) == 1
+        assert walked == [future[0].model]
+
+    def test_generate_fingerprints_the_model_as_fitted(self, history):
+        """``rate`` calibration scores each model before its fingerprint
+        is stored; the fingerprint must still be that of the model as
+        fitted, not of the prediction caches the scoring built."""
+        generator = ModelsGenerator(
+            T=2,
+            strategy="last",
+            threshold_method="rate",
+            target_rate=0.3,
+            random_state=0,
+        )
+        future = generator.generate(history)
+        times = [fm.time_value for fm in future]
+        unscored = generator.strategy.build(
+            history, times, generator.model_factory, as_rng(0)
+        )
+        for fm, model in zip(future, unscored):
+            assert fm.fingerprint == model_fingerprint(
+                model, fm.threshold, generator.strategy, 0
+            )
 
     def test_content_fingerprint_canonical(self):
         assert content_fingerprint({"a": 1, "b": 2}) == content_fingerprint(
