@@ -29,13 +29,14 @@ fused loop**:
   ``model_fp`` is the invalidation signal: a refit changes the
   fingerprint, and the stale table simply stops being asked;
 * threshold moves for a whole group run through **one shared
-  vectorized** :meth:`ThresholdMoveProposer.propose_batch` call (whose
-  per-(feature, value) target memo now also works cross-cell);
+  array-native** :meth:`ThresholdMoveProposer.propose_batch` call over
+  every beam state of the group;
 * random moves exploit that cells of a time point share the per-t RNG
   seed: cells whose generators have consumed their streams identically
   so far draw **once** (through a representative's generator) and replay
-  the recorded draws vectorized per cell, fast-forwarding the other
-  cells' generators to the identical post-draw state;
+  the recorded draws for all of them in one stacked pass,
+  fast-forwarding the other cells' generators to the identical
+  post-draw state;
 * cells that are byte-identical as *search problems* — same ``t``,
   base row, warm seeds, search parameters and declared constraints
   identity — are computed **once** and replicated;
@@ -317,15 +318,16 @@ def _shared_random_proposals(
     states).  One representative generator performs the real draws
     (recording coordinate, kind and payload per proposal), the others'
     generators are fast-forwarded to the identical post-draw state, and
-    every run materializes its proposals from the records as matrix
-    operations whose per-row arithmetic equals the scalar
+    every run's proposals are materialized from the records in one
+    stacked ``(runs × records × d)`` pass with one ``clip_matrix`` call,
+    whose per-row arithmetic equals the scalar
     :meth:`RandomMoveProposer.propose` exactly.
 
     Categorical draws rely on every beam state being schema-clipped
     (current value snapped onto the category grid, so the option count
     is the same for every run); a run that violates this — only possible
-    with a custom non-clipping proposer in the mix — is detected and
-    recomputed through its own untouched generator instead.
+    with a custom non-clipping proposer in the mix — is detected, and
+    only that run is rewound and recomputed through its own generator.
     """
     mutable = schema.mutable_indices()
     n_states = len(runs[0].state.beam)
@@ -341,21 +343,28 @@ def _shared_random_proposals(
     # only immutable ints, so sharing one snapshot across runs is safe)
     pre_state = rep_rng.bit_generator.state
     # records: (state index, coordinate, is_categorical, payload,
-    #           option count at draw time — the replay-safety invariant)
+    #           option count at draw time — the replay-safety invariant).
+    # ``rng.choice(a)`` over a 1-D population of n draws exactly
+    # ``rng.integers(n)`` and returns that element, so the draws below
+    # take the integer directly: the mutable position, and for a
+    # categorical the option's index
+    columns = mutable.tolist()
+    grids = [
+        schema[c].categories if schema[c].dtype == "categorical" else None
+        for c in columns
+    ]
     records: list[tuple[int, int, bool, float, int]] = []
     for s in range(n_states):
         x_rep = rep.state.beam[s]
         for _ in range(proposer.n_proposals):
-            idx = int(rep_rng.choice(mutable))
-            spec = schema[idx]
-            if spec.dtype == "categorical" and spec.categories:
-                options = [c for c in spec.categories if c != x_rep[idx]]
-                if not options:
+            pos = int(rep_rng.integers(len(columns)))
+            idx = columns[pos]
+            if grids[pos]:
+                n_options = sum(c != x_rep[idx] for c in grids[pos])
+                if not n_options:
                     continue
-                drawn = rep_rng.choice(options)
-                records.append(
-                    (s, idx, True, float(options.index(drawn)), len(options))
-                )
+                pick = float(rep_rng.integers(n_options))
+                records.append((s, idx, True, pick, n_options))
             else:
                 draw = float(rep_rng.normal(0.0, proposer.spread))
                 records.append((s, idx, False, draw, 0))
@@ -372,65 +381,64 @@ def _shared_random_proposals(
     is_cat = np.array([r[2] for r in records])
     payload = np.array([r[3] for r in records])
     opt_count = np.array([r[4] for r in records])
-    m = len(records)
-    rows = np.arange(m)
+    rows = np.arange(len(records))
     # per-coordinate schema steps; NaN/0 → the scalar path's fallback
     steps = np.full(d, np.nan)
     for j in range(d):
         step = schema[j].step
         if step is not None:
             steps[j] = float(step)
-    cat_cols = sorted({int(c) for c in cols[is_cat]})
-    categories = {
-        c: np.asarray(schema[c].categories, dtype=float) for c in cat_cols
-    }
 
+    # every run's recorded rows in one (runs × records × d) stack
+    candidates = np.asarray([run.state.beam for run in runs], dtype=float)[:, s_idx]
+    current = candidates[:, rows, cols]
+    new_values = np.empty_like(current)
+    num = ~is_cat
+    if num.any():
+        vals = current[:, num]
+        col_steps = steps[cols[num]]
+        use_step = np.isfinite(col_steps) & (col_steps != 0.0)
+        base_step = np.where(
+            use_step, col_steps, np.maximum(np.abs(vals) * 0.01, 1.0)
+        )
+        new_values[:, num] = vals + payload[num] * base_step
+    replayable = np.ones(len(runs), dtype=bool)
+    for c in sorted({int(c) for c in cols[is_cat]}):
+        rows_c = is_cat & (cols == c)
+        C = np.asarray(schema[c].categories, dtype=float)
+        mask = C != current[:, rows_c, None]
+        # replay safety: a run's option lists must be as long as the
+        # representative's were at draw time
+        replayable &= (mask.sum(axis=2) == opt_count[rows_c]).all(axis=1)
+        pick = payload[rows_c].astype(int)
+        sel = mask & (np.cumsum(mask, axis=2) == pick[:, None] + 1)
+        new_values[:, rows_c] = C[np.argmax(sel, axis=2)]
+    candidates[:, rows, cols] = new_values
+    clipped = schema.clip_matrix(candidates.reshape(-1, d)).reshape(
+        candidates.shape
+    )
+    keep = clipped[:, rows, cols] != current
+    # kept rows are run-major then state-major: one split over every
+    # (run, state) pair
+    owner = (np.arange(len(runs))[:, None] * n_states + s_idx)[keep]
+    mats = np.split(
+        clipped[keep], np.searchsorted(owner, np.arange(1, len(runs) * n_states))
+    )
     out: dict[int, list[np.ndarray]] = {}
-    for run in runs:
-        S = np.vstack(run.state.beam)
-        candidates = S[s_idx]
-        current = candidates[rows, cols]
-        new_values = np.empty(m)
-        num = ~is_cat
-        if num.any():
-            vals = current[num]
-            col_steps = steps[cols[num]]
-            use_step = np.isfinite(col_steps) & (col_steps != 0.0)
-            base_step = np.where(
-                use_step, col_steps, np.maximum(np.abs(vals) * 0.01, 1.0)
-            )
-            new_values[num] = vals + payload[num] * base_step
-        ok = np.ones(m, dtype=bool)
-        for c in cat_cols:
-            rows_c = is_cat & (cols == c)
-            C = categories[c]
-            mask = C[None, :] != current[rows_c, None]
-            # replay safety: this run's option list must be as long as
-            # the representative's was at draw time
-            ok[rows_c] = mask.sum(axis=1) == opt_count[rows_c]
-            pick = payload[rows_c].astype(int)
-            cum = np.cumsum(mask, axis=1)
-            sel = mask & (cum == pick[:, None] + 1)
-            new_values[rows_c] = C[np.argmax(sel, axis=1)]
-        if not ok.all():
-            # stream divergence: this run's categorical state fell off
-            # the category grid, so the shared draws do not model its
-            # own RNG consumption — rewind its generator to the pre-draw
-            # position and let it redo the draws itself (exact per-cell
-            # path; the run leaves the shared subgroup automatically
-            # next round because its stream position now differs)
-            run.state.rng.bit_generator.state = pre_state
-            out[id(run)] = proposer.propose_batch(
-                run.state.beam, None, schema, run.state.rng
-            )
+    for r, run in enumerate(runs):
+        if replayable[r]:
+            out[id(run)] = mats[r * n_states : (r + 1) * n_states]
             continue
-        candidates[rows, cols] = new_values
-        clipped = schema.clip_matrix(candidates)
-        keep = clipped[rows, cols] != current
-        kept = clipped[keep]
-        kept_states = s_idx[keep]
-        bounds = np.searchsorted(kept_states, np.arange(1, n_states))
-        out[id(run)] = np.split(kept, bounds)
+        # stream divergence: this run's categorical state fell off the
+        # category grid, so the shared draws do not model its own RNG
+        # consumption — rewind its generator to the pre-draw position
+        # and let it redo the draws itself (exact per-cell path; the run
+        # leaves the shared subgroup automatically next round because
+        # its stream position now differs)
+        run.state.rng.bit_generator.state = pre_state
+        out[id(run)] = proposer.propose_batch(
+            run.state.beam, None, schema, run.state.rng
+        )
     return out
 
 
@@ -469,8 +477,8 @@ def _group_proposals(group: list[_Run]) -> dict[int, list[np.ndarray]]:
             for p in slot
         ):
             # threshold moves are RNG-free and depend only on
-            # (state, thresholds): one vectorized call over every beam
-            # state of the group, served by one shared target memo
+            # (state, thresholds): one array-native call over every
+            # beam state of the group
             states = [s for run in group for s in run.state.beam]
             mats = lead.propose_batch(
                 states, gen0.model, gen0.schema, group[0].state.rng

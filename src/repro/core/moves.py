@@ -26,8 +26,9 @@ states in one call, returning one ``(m_i, d)`` matrix per state.  The
 default implementation loops over :meth:`propose` (bit-identical,
 including the RNG draw order — only one default proposer consumes the
 RNG, and it draws state-by-state in both paths);
-:class:`ThresholdMoveProposer` overrides it with a fully vectorized
-implementation (searchsorted threshold lookup + one matrix clip).
+:class:`ThresholdMoveProposer` overrides it with an array-native
+implementation (one ``searchsorted`` pair per feature over all states,
+index arithmetic for the picks, one matrix clip).
 """
 
 from __future__ import annotations
@@ -99,6 +100,26 @@ def _quantile_spread(values: np.ndarray, n: int) -> np.ndarray:
     return values[idx]
 
 
+def _spread_offsets(counts: np.ndarray, n: int) -> np.ndarray:
+    """:func:`_quantile_spread` as index arithmetic: for slices holding
+    ``counts`` values, the offsets of the ``n`` picks, on a new last
+    axis.  A slice of at most ``n`` values is taken whole (offsets
+    ``0..n-1``, valid below the count).  A longer one spaces the picks
+    by ``(count - 1) / (n - 1) > 1``, so rounding keeps them distinct and
+    ``np.unique`` changes nothing; the arithmetic is ``np.linspace``'s
+    own (index times step, last pick exactly ``count - 1``, round half
+    to even), and ``n = 1`` picks offset 0.
+    """
+    picks = np.arange(n, dtype=float)
+    offsets = np.broadcast_to(picks, counts.shape + (n,)).copy()
+    many = counts > n
+    if n > 1 and many.any():
+        spread = picks * ((counts[many] - 1).astype(float) / (n - 1))[:, None]
+        spread[:, -1] = counts[many] - 1
+        offsets[many] = spread.round()
+    return offsets.astype(np.intp)
+
+
 class ThresholdMoveProposer(MoveProposer):
     """Jump mutable features across the model's split thresholds.
 
@@ -127,7 +148,6 @@ class ThresholdMoveProposer(MoveProposer):
         self.n_far = n_far
         self._cache_model = None
         self._cache_thresholds: dict[int, np.ndarray] | None = None
-        self._targets_memo: dict[tuple, np.ndarray] = {}
 
     def _thresholds(self, model) -> dict[int, np.ndarray]:
         if model is not self._cache_model:
@@ -144,34 +164,15 @@ class ThresholdMoveProposer(MoveProposer):
                 feature: np.sort(values)
                 for feature, values in model.split_thresholds().items()
             }
-            self._targets_memo = {}
         return self._cache_thresholds
 
     def _targets_for(self, value: float, feature_thresholds: np.ndarray) -> np.ndarray:
         """Candidate values for one feature: nearest and quantile-spread
         thresholds on both sides of ``value``, margin-shifted past the
-        split.  Shared by the scalar and batch paths so their proposals
-        cannot drift apart.  ``feature_thresholds`` is sorted, so the
-        strict >/< splits are two binary searches.
-
-        Memoized per ``(feature thresholds, value)``: a beam revisits the
-        same feature values constantly, and the fused multi-cell engine
-        shares one proposer across every cell of a time point, so the
-        same lookups recur across users.  The memo is invalidated with
-        the threshold cache when the model changes; callers never mutate
-        the returned array (every consumer copies via ``concatenate``).
+        split.  ``feature_thresholds`` is sorted, so the strict >/<
+        splits are two binary searches.  The scalar reference that
+        :meth:`propose_batch` reproduces by index arithmetic.
         """
-        memo_key = (id(feature_thresholds), float(value))
-        cached = self._targets_memo.get(memo_key)
-        if cached is not None:
-            return cached
-        targets = self._targets_uncached(value, feature_thresholds)
-        self._targets_memo[memo_key] = targets
-        return targets
-
-    def _targets_uncached(
-        self, value: float, feature_thresholds: np.ndarray
-    ) -> np.ndarray:
         margin = _feature_margin(value)
         first_above = np.searchsorted(
             feature_thresholds, value + 1e-12, side="right"
@@ -215,36 +216,80 @@ class ThresholdMoveProposer(MoveProposer):
 
     def propose_batch(self, states, model, schema, rng) -> list[np.ndarray]:
         """Vectorized multi-state proposal: identical rows and row order
-        to calling :meth:`propose` per state, but candidate
+        to calling :meth:`propose` per state.
+
+        Per mutable feature, two ``searchsorted`` calls over every state
+        place each value among the sorted thresholds; the nearest and
+        quantile-spread picks of :meth:`_targets_for` are then index
+        arithmetic on those positions.  The targets form one
+        ``(state, feature, slot)`` block whose valid slots, read in C
+        order, are the scalar loop's targets in its order, and
         materialization, clipping and the integer-rounding nudge run as
-        matrix operations over all (state, feature, target) rows at once.
+        matrix operations over all rows at once.
         """
         thresholds = self._thresholds(model)
         d = len(schema)
         if not len(states):
             return []
         S = np.atleast_2d(np.asarray(states, dtype=float))
-        mutable = schema.mutable_indices()
-        state_of, col_of, target_chunks = [], [], []
-        for si in range(S.shape[0]):
-            for idx in mutable:
-                feature_thresholds = thresholds.get(int(idx))
-                if feature_thresholds is None or feature_thresholds.size == 0:
-                    continue
-                targets = self._targets_for(S[si, idx], feature_thresholds)
-                if targets.size:
-                    state_of.append(np.full(targets.size, si))
-                    col_of.append(np.full(targets.size, idx))
-                    target_chunks.append(targets)
-        if not target_chunks:
-            return [np.empty((0, d)) for _ in range(S.shape[0])]
-        state_of = np.concatenate(state_of)
-        col_of = np.concatenate(col_of)
-        targets = np.concatenate(target_chunks)
+        n_states = S.shape[0]
+        features, first_above, n_below = [], [], []
+        for idx in schema.mutable_indices():
+            feature_thresholds = thresholds.get(int(idx))
+            if feature_thresholds is None or feature_thresholds.size == 0:
+                continue
+            features.append(int(idx))
+            first_above.append(
+                np.searchsorted(feature_thresholds, S[:, idx] + 1e-12, side="right")
+            )
+            n_below.append(
+                np.searchsorted(feature_thresholds, S[:, idx] - 1e-12, side="left")
+            )
+        if not features:
+            return [np.empty((0, d)) for _ in range(n_states)]
+        # (state, feature) positions among each feature's sorted thresholds
+        first_above = np.stack(first_above, axis=1)
+        n_below = np.stack(n_below, axis=1)
+        sizes = np.array([thresholds[f].size for f in features])
+        nn, nf = self.n_nearest, self.n_far
+        near, far = np.arange(nn), np.arange(nf)
+        near_below = np.minimum(n_below, nn)
+        far_above = np.maximum(sizes - first_above - nn, 0)
+        far_below = np.maximum(n_below - nn, 0)
+        # slots: nearest above, nearest below, spread above, spread below
+        positions = np.concatenate(
+            [
+                first_above[..., None] + near,
+                (n_below - near_below)[..., None] + near,
+                (first_above + nn)[..., None] + _spread_offsets(far_above, nf),
+                _spread_offsets(far_below, nf),
+            ],
+            axis=2,
+        )
+        valid = np.concatenate(
+            [
+                near < (sizes - first_above)[..., None],
+                near < n_below[..., None],
+                far < far_above[..., None],
+                far < far_below[..., None],
+            ],
+            axis=2,
+        )
+        state_of, feature_of, slot_of = np.nonzero(valid)
+        if not state_of.size:
+            return [np.empty((0, d)) for _ in range(n_states)]
+        # every feature's thresholds in one array: a pick's index there is
+        # its feature's start plus its position
+        packed = np.concatenate([thresholds[f] for f in features])
+        picks = (np.cumsum(sizes) - sizes)[feature_of] + positions[valid]
+        col_of = np.asarray(features)[feature_of]
+        original = S[state_of, col_of]
+        margin = np.maximum(np.abs(original) * _CROSS_MARGIN, 1e-6)
+        sign = np.repeat([1.0, -1.0, 1.0, -1.0], [nn, nn, nf, nf])
+        targets = packed[picks] + sign[slot_of] * margin
         m = targets.size
         rows = np.arange(m)
         candidates = S[state_of]
-        original = candidates[rows, col_of]
         candidates[rows, col_of] = targets
         candidates = schema.clip_matrix(candidates)
         # integer rounding can undo a crossing; nudge one unit and re-clip
@@ -259,8 +304,8 @@ class ThresholdMoveProposer(MoveProposer):
             keep[which] = candidates[which, col_of[undone]] != original[undone]
         candidates = candidates[keep]
         state_of = state_of[keep]
-        # rows were appended state-major, so one split recovers per-state
-        bounds = np.searchsorted(state_of, np.arange(1, S.shape[0]))
+        # rows are state-major, so one split recovers per-state
+        bounds = np.searchsorted(state_of, np.arange(1, n_states))
         return np.split(candidates, bounds)
 
 

@@ -145,9 +145,11 @@ def drain_stale_cells(
     advances in lock-step, model scoring is grouped across cells, and an
     :class:`~repro.core.fused.EpochProposalCache` persists across claim
     batches so identical proposal rows seen under the same model
-    fingerprint are never re-scored.  The claim's leases are renewed
-    every lock-stepped round, and the cells whose leases survived the
-    compute are written in one grouped ``upsert_cells`` transaction.
+    fingerprint are never re-scored.  The claim's leases are renewed in
+    one :meth:`CandidateStore.renew_leases` call before the compute, in
+    one every lock-stepped round and in one after it, and the cells
+    whose leases survived the compute are written in one grouped
+    ``upsert_cells`` transaction.
     The store contents are byte-identical to computing each cell on its
     own with :meth:`CandidateGenerator.generate`.
 
@@ -184,12 +186,11 @@ def drain_stale_cells(
     report = WorkerReport(worker_id=worker_id)
     unrecoverable: set[tuple[str, int]] = set()
 
-    def prepare(user_id: str, t: int) -> bool:
-        """Source check + lease renewal + per-user hydration for one
-        claim.
+    def computable(user_id: str, t: int) -> bool:
+        """Source check + per-user hydration for one claimed cell.
 
-        Returns ``True`` when the cell is ready to compute; skip/lost
-        bookkeeping already done otherwise.
+        Returns ``True`` when the cell can be computed; a cell that
+        cannot is skipped and its lease handed back.
         """
         session = system.sessions.get(user_id)
         spec = specs.get(user_id)
@@ -201,17 +202,6 @@ def drain_stale_cells(
             unrecoverable.add((user_id, t))
             store.release_cells(worker_id, [(user_id, t)])
             report.skipped_cells.append((user_id, t))
-            return False
-        # re-arm the lease for the compute ahead; a failed renewal
-        # means it expired and another worker owns the cell now
-        renewed = store.renew_leases(
-            worker_id,
-            [(user_id, t)],
-            lease_seconds=lease_seconds,
-            now=clock(),
-        )
-        if not renewed:
-            report.lost_leases += 1
             return False
         if user_id not in trajectories:
             if session is not None:
@@ -226,6 +216,26 @@ def drain_stale_cells(
                 constraints[user_id] = system._join_constraints(texts)
                 constraint_keys[user_id] = system._constraints_cache_key(texts)
         return True
+
+    def renew(cells: list) -> list:
+        """Renew the leases on ``cells`` in one call; returns the cells
+        still held.  A lease that expired belongs to another worker now:
+        only when the call renews fewer cells than it was given are the
+        cells probed one at a time to find the lost ones."""
+        renewed = store.renew_leases(
+            worker_id, cells, lease_seconds=lease_seconds, now=clock()
+        )
+        if renewed == len(cells):
+            return cells
+        held = [
+            cell
+            for cell in cells
+            if store.renew_leases(
+                worker_id, [cell], lease_seconds=lease_seconds, now=clock()
+            )
+        ]
+        report.lost_leases += len(cells) - len(held)
+        return held
 
     while True:
         if leader_token is not None and not store.verify_leader(
@@ -270,7 +280,9 @@ def drain_stale_cells(
             # the next claim picks the cells up)
             sleep(min(1.0, max(float(lease_seconds) / 4.0, 0.05)))
             continue
-        ready = [(u, t) for u, t in claimed if prepare(u, t)]
+        ready = [(u, t) for u, t in claimed if computable(u, t)]
+        # re-arm the claim's leases for the compute ahead
+        ready = renew(ready) if ready else []
         if not ready:
             continue
         cells = [
@@ -306,23 +318,13 @@ def drain_stale_cells(
         )
         cells_deduped += fused_report.cells_deduped
         all_stats.extend(stats for _, stats in outcome.values())
-        # the lock-stepped compute may have outlived the leases:
-        # re-verify ownership per cell before writing — cells whose
-        # lease expired belong to another worker now
-        survivors = []
-        rows = []
-        for user_id, t in ready:
-            if not store.renew_leases(
-                worker_id,
-                [(user_id, t)],
-                lease_seconds=lease_seconds,
-                now=clock(),
-            ):
-                report.lost_leases += 1
-                continue
-            found, _ = outcome[(user_id, t)]
-            rows.append((user_id, t, found, trajectories[user_id][t]))
-            survivors.append((user_id, t))
+        # the lock-stepped compute may have outlived the leases: cells
+        # whose lease expired belong to another worker now
+        survivors = renew(ready)
+        rows = [
+            (user_id, t, outcome[(user_id, t)][0], trajectories[user_id][t])
+            for user_id, t in survivors
+        ]
         if rows:
             # one grouped transaction for the whole claim batch
             report.candidates_written += store.upsert_cells(

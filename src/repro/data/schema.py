@@ -84,18 +84,25 @@ class FeatureSpec:
             )
 
     def clip(self, value: float) -> float:
-        """Clip ``value`` into the feature's physical bounds and granularity."""
+        """Clip ``value`` into the feature's physical bounds and granularity.
+
+        Bit-identical to :meth:`DatasetSchema.clip_matrix`, signed zeros
+        included: a value at a bound becomes the bound, as in
+        ``np.clip`` (``-0.0`` at a lower bound of 0 is ``0.0``), and
+        integers round through ``np.round``, which keeps the sign of a
+        negative value that rounds to zero.
+        """
         out = float(value)
-        if self.lower is not None:
-            out = max(out, self.lower)
-        if self.upper is not None:
-            out = min(out, self.upper)
+        if self.lower is not None and out <= self.lower:
+            out = float(self.lower)
+        if self.upper is not None and out >= self.upper:
+            out = float(self.upper)
         if self.dtype == "categorical" and self.categories:
             # snap the raw value to the nearest allowed code
             codes = np.asarray(self.categories, dtype=float)
             out = float(codes[np.argmin(np.abs(codes - out))])
         elif self.dtype == "int":
-            out = float(round(out))
+            out = float(np.round(out))
         return out
 
     def contains(self, value: float) -> bool:

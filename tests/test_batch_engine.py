@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.constraints import lending_domain_constraints
 from repro.constraints.evaluate import (
@@ -126,6 +128,29 @@ class TestPrimitiveEquivalence:
         clipped = schema.clip_matrix(proposal_batch)
         for row, ref in zip(proposal_batch, clipped):
             assert (schema.clip(row) == ref).all()
+
+    def test_clip_matrix_matches_scalar_bytes_on_signed_zeros(self):
+        """Bounds at zero, unbounded and negative integers, and values
+        that round to a signed zero: ``clip`` and ``clip_matrix`` agree
+        to the byte, not only by ``==``."""
+        features = [
+            FeatureSpec(f"f{i}", dtype, lower=lower, upper=upper)
+            for i, (dtype, lower, upper) in enumerate(
+                [
+                    ("float", 0, None),
+                    ("float", None, 0),
+                    ("float", None, None),
+                    ("int", 0, 10),
+                    ("int", -5, 0),
+                    ("int", None, None),
+                ]
+            )
+        ]
+        schema = DatasetSchema(features)
+        values = [-0.0, 0.0, -0.3, 0.3, -0.5, 0.5, -1e-300, 7.5]
+        X = np.random.default_rng(3).choice(values, size=(200, len(schema)))
+        for row, ref in zip(X, schema.clip_matrix(X)):
+            assert schema.clip(row).tobytes() == ref.tobytes()
 
 
 class TestConstraintEquivalence:
@@ -242,6 +267,143 @@ class TestMoveEquivalence:
             assert matrix.shape[0] == len(reference)
             for ref_row, row in zip(reference, matrix):
                 assert (ref_row == row).all()
+
+
+class _StubThresholdModel:
+    """Duck-typed tree model: only ``split_thresholds``, as given."""
+
+    def __init__(self, thresholds: dict):
+        self._thresholds = thresholds
+
+    def split_thresholds(self) -> dict[int, np.ndarray]:
+        return {f: np.asarray(v, dtype=float) for f, v in self._thresholds.items()}
+
+
+#: every clip path a threshold move meets: unbounded and bounded floats,
+#: an integer, a categorical, an immutable feature and one without splits
+STUB_SCHEMA = DatasetSchema(
+    [
+        FeatureSpec("wide", dtype="float"),
+        FeatureSpec("bounded", dtype="float", lower=0, upper=100),
+        FeatureSpec("count", dtype="int", lower=0, upper=60),
+        FeatureSpec("fixed", dtype="float", mutable=False),
+        FeatureSpec("kind", dtype="categorical", categories=(0, 1, 2)),
+        FeatureSpec("unsplit", dtype="float"),
+    ]
+)
+STUB_THRESHOLDS = {
+    0: np.linspace(-50.0, 50.0, 40),  # more than n_nearest + n_far
+    1: [10.0, 10.0, 55.5],  # duplicates, fewer than n_nearest + n_far
+    2: [3.0, 7.0],
+    3: [1.0],  # immutable: never moved
+    4: [0.5, 1.5],
+    5: [],  # no thresholds
+}
+
+
+def _stub_edge_states() -> list[np.ndarray]:
+    """States exactly on a threshold, below the first, above the last
+    and in between, for every feature at once."""
+    wide = STUB_THRESHOLDS[0]
+    rows = [
+        [wide[0], 10.0, 3.0, 1.0, 0, 0.0],  # on thresholds
+        [wide[17], 55.5, 7.0, 0.0, 1, 2.0],
+        [wide[-1], 0.0, 0.0, 0.0, 2, -3.0],  # on the last / below the first
+        [-80.0, 5.0, 1.0, 9.0, 0, 0.0],  # below every threshold
+        [80.0, 90.0, 60.0, -9.0, 2, 0.0],  # above every threshold
+        [0.3, 30.0, 5.0, 0.0, 1, 0.0],  # in between
+        [wide[20] + 1e-13, 10.0 - 1e-13, 4.0, 0.0, 1, 0.0],  # within 1e-12
+    ]
+    return [STUB_SCHEMA.clip(row) for row in rows]
+
+
+def _assert_rows_match_propose(proposer, states, model, schema):
+    """``propose_batch`` returns, per state, exactly ``propose``'s rows:
+    same count, same order, same bytes."""
+    batch = proposer.propose_batch(states, model, schema, None)
+    assert len(batch) == len(states)
+    for state, matrix in zip(states, batch):
+        reference = proposer.propose(state, model, schema, None)
+        expected = np.asarray(reference, dtype=float).reshape(-1, len(schema))
+        assert matrix.shape == expected.shape
+        assert matrix.tobytes() == expected.tobytes()
+
+
+class TestThresholdTargets:
+    """The array-native threshold targets against the scalar
+    :meth:`ThresholdMoveProposer.propose`, bit for bit and in order."""
+
+    @pytest.mark.parametrize("n_far", [0, 1, 4, 7])
+    @pytest.mark.parametrize("n_nearest", [1, 2, 3, 5])
+    def test_edge_states_match_propose(self, n_nearest, n_far):
+        proposer = ThresholdMoveProposer(n_nearest=n_nearest, n_far=n_far)
+        model = _StubThresholdModel(STUB_THRESHOLDS)
+        states = _stub_edge_states()
+        _assert_rows_match_propose(proposer, states, model, STUB_SCHEMA)
+        # one state at a time as well as all at once
+        for state in states:
+            _assert_rows_match_propose(proposer, [state], model, STUB_SCHEMA)
+
+    @pytest.mark.parametrize("n_states", [1, 41])
+    @pytest.mark.parametrize("n_nearest,n_far", [(1, 0), (3, 4), (5, 7)])
+    def test_forest_states_match_propose(
+        self, schema, fitted_forest, john, n_states, n_nearest, n_far
+    ):
+        rng = np.random.default_rng(n_states + 10 * n_nearest + n_far)
+        income = schema.index_of("annual_income")
+        splits = fitted_forest.split_thresholds()[income]
+        edges = [john.copy() for _ in range(4)]
+        edges[0][income] = splits[len(splits) // 2]  # exactly on a split
+        edges[1][income] = splits[0]
+        edges[2][income] = 0.0  # below the first split
+        edges[3][income] = 1_000_000.0  # above the last
+        noise = rng.normal(0.0, 0.3, size=(max(n_states - 4, 0), len(schema)))
+        states = [schema.clip(row) for row in edges + list(john * (1.0 + noise))]
+        states = states[:n_states]
+        assert len(states) == n_states
+        proposer = ThresholdMoveProposer(n_nearest=n_nearest, n_far=n_far)
+        _assert_rows_match_propose(proposer, states, fitted_forest, schema)
+
+    @given(
+        thresholds=st.lists(
+            st.lists(
+                st.sampled_from([-20.0, -2.5, 0.0, 0.5, 1.0, 3.0, 12.0, 40.0]),
+                max_size=14,
+            ),
+            min_size=3,
+            max_size=3,
+        ),
+        values=st.lists(
+            st.tuples(
+                st.floats(-30.0, 50.0, allow_nan=False),
+                st.floats(-5.0, 50.0, allow_nan=False),
+                st.integers(0, 45),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        n_nearest=st.integers(1, 5),
+        n_far=st.integers(0, 7),
+    )
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_arbitrary_sorted_thresholds_match_propose(
+        self, thresholds, values, n_nearest, n_far
+    ):
+        """Sorted threshold arrays with duplicates, drawn from a small
+        grid so states often sit exactly on one."""
+        model = _StubThresholdModel(
+            {f: sorted(ts) for f, ts in zip((0, 1, 2), thresholds)}
+        )
+        states = [
+            STUB_SCHEMA.clip([wide, bounded, count, 0.0, 1, 0.0])
+            for wide, bounded, count in values
+        ]
+        proposer = ThresholdMoveProposer(n_nearest=n_nearest, n_far=n_far)
+        _assert_rows_match_propose(proposer, states, model, STUB_SCHEMA)
 
 
 class TestGenerateEquivalence:

@@ -23,6 +23,8 @@ from repro.core import (
     EpochProposalCache,
     FusedCell,
     JustInTime,
+    RandomMoveProposer,
+    ThresholdMoveProposer,
     drain_stale_cells,
     generate_fused,
 )
@@ -515,3 +517,188 @@ class TestFusedEquivalenceProperty:
                 stats.proposals_evaluated
                 == ref_gen.last_stats_.proposals_evaluated
             )
+
+
+class _OffGridThresholds(ThresholdMoveProposer):
+    """Threshold moves that leave ``household`` half a code off its
+    category grid, unclipped — a custom proposer that breaks the
+    shared random replay's on-grid assumption."""
+
+    def propose_batch(self, states, model, schema, rng):
+        col = schema.index_of("household")
+        mats = super().propose_batch(states, model, schema, rng)
+        for matrix in mats:
+            matrix[:, col] = np.floor(matrix[:, col]) + 0.5
+        return mats
+
+
+class TestRandomReplayFallback:
+    """A cell whose beam holds an off-grid categorical state makes the
+    shared random draws unsafe to replay for it: the engine must rewind
+    that cell's generator and let it draw for itself, and every cell —
+    the one rewound and those replayed — still equals its per-cell
+    search."""
+
+    def test_off_grid_cell_falls_back_and_matches_per_cell(
+        self, schema, lending_ds, monkeypatch
+    ):
+        from repro.ml import RandomForestClassifier
+
+        model = RandomForestClassifier(
+            n_estimators=6, max_depth=4, random_state=0
+        ).fit(lending_ds.X, lending_ds.y)
+        base = schema.vector(john_profile())
+        profiles = [base, schema.clip(base * 1.1), schema.clip(base * 0.9)]
+
+        def generator(off_grid):
+            first = _OffGridThresholds() if off_grid else ThresholdMoveProposer()
+            return CandidateGenerator(
+                model,
+                0.5,
+                schema,
+                k=3,
+                beam_width=4,
+                max_iter=6,
+                patience=3,
+                proposers=[first, RandomMoveProposer()],
+                random_state=5,
+            )
+
+        layout = [(0, False), (1, True), (2, False)]
+        # the engine's only model-less propose_batch call is the replay
+        # fallback's redraw through the cell's own generator
+        fallbacks = []
+        real_propose_batch = RandomMoveProposer.propose_batch
+
+        def spy(self, states, model, schema, rng):
+            if model is None:
+                fallbacks.append(len(states))
+            return real_propose_batch(self, states, model, schema, rng)
+
+        monkeypatch.setattr(RandomMoveProposer, "propose_batch", spy)
+        results, report = generate_fused(
+            [
+                FusedCell(
+                    cell_id=i,
+                    t=0,
+                    x_base=profiles[p],
+                    generator=generator(off_grid),
+                    model_fp="fp-fallback",
+                    constraints_key="[]",
+                )
+                for i, (p, off_grid) in enumerate(layout)
+            ]
+        )
+        monkeypatch.undo()
+        assert fallbacks, "no cell fell back: the test is vacuous"
+        assert report.unique_cells == len(layout)
+        for i, (p, off_grid) in enumerate(layout):
+            reference = generator(off_grid)
+            expected = reference.generate(profiles[p], time=0)
+            found, stats = results[i]
+            assert len(found) == len(expected)
+            for got, want in zip(found, expected):
+                assert got.x.tobytes() == want.x.tobytes()
+                assert got.metrics == want.metrics
+            ref_stats = reference.last_stats_
+            assert stats.iterations == ref_stats.iterations
+            assert stats.proposals_evaluated == ref_stats.proposals_evaluated
+            assert stats.best_key_history == ref_stats.best_key_history
+
+
+def test_choice_over_a_population_draws_integers():
+    """The shared random draws take ``rng.integers(n)`` where the
+    per-cell proposer calls ``rng.choice`` on an n-element population;
+    the two must return the same element and leave the stream at the
+    same position."""
+    population = np.arange(4) * 3
+    for seed in range(50):
+        by_choice = np.random.default_rng(seed)
+        by_integers = np.random.default_rng(seed)
+        for n in (1, 2, 3, 4):
+            assert by_choice.choice(population[:n]) == population[
+                by_integers.integers(n)
+            ]
+            options = [c for c in (0, 1, 2) if c != n % 3]
+            drawn = by_choice.choice(options)
+            assert options.index(drawn) == by_integers.integers(len(options))
+            assert by_choice.normal(0.0, 4.0) == by_integers.normal(0.0, 4.0)
+        assert by_choice.bit_generator.state == by_integers.bit_generator.state
+
+
+class TestClaimRenewals:
+    """A claim's leases are renewed in one call before the compute, one
+    per lock-stepped round (the heartbeat) and one after it — not once
+    per cell on each side of the compute."""
+
+    def _drain(self, schema, history, drift_data, db, monkeypatch, before=None):
+        system = build_system(schema, db, "sharded")
+        system.fit(history)
+        system.create_sessions(make_users(schema))
+        system.refit(drift_data)
+        stale = system.store.stale_cells(system.model_fingerprints)
+        assert len(stale) > 2
+        store = system.store
+        calls = []
+        real_renew = store.renew_leases
+
+        def renew_leases(worker_id, cells, **kwargs):
+            cells = list(cells)
+            if before is not None and not calls:
+                before(store, worker_id, cells)
+            calls.append(len(cells))
+            return real_renew(worker_id, cells, **kwargs)
+
+        monkeypatch.setattr(store, "renew_leases", renew_leases)
+        rounds = []
+        real_fused = generate_fused
+
+        def counting_fused(cells, **kwargs):
+            outcome, report = real_fused(cells, **kwargs)
+            rounds.append(report.rounds)
+            return outcome, report
+
+        monkeypatch.setattr("repro.core.worker.generate_fused", counting_fused)
+        report = drain_stale_cells(
+            system, worker_id="w", claim_batch=len(stale), warm_start=False
+        )
+        monkeypatch.undo()
+        return system, stale, report, calls, rounds
+
+    def test_one_claim_renews_in_rounds_plus_two_calls(
+        self, schema, history, drift_data, tmp_path, monkeypatch
+    ):
+        system, stale, report, calls, rounds = self._drain(
+            schema, history, drift_data, tmp_path / "renew.db", monkeypatch
+        )
+        assert len(rounds) == 1  # the whole ledger in one claim
+        assert len(calls) <= rounds[0] + 2
+        assert calls[0] == calls[-1] == len(stale)
+        assert report.lost_leases == 0
+        assert sorted(report.cells) == sorted(stale)
+        assert system.store.stale_cells(system.model_fingerprints) == []
+        system.store.close()
+
+    def test_a_lost_lease_is_dropped_and_reclaimed(
+        self, schema, history, drift_data, tmp_path, monkeypatch
+    ):
+        """One cell's lease is gone before the bulk renewal: the call
+        renews one cell fewer, the cells are probed one at a time, only
+        the lost one is dropped, and a later claim recomputes it."""
+        lost = []
+
+        def drop_one_lease(store, worker_id, cells):
+            lost.append(cells[0])
+            store.release_cells(worker_id, cells[:1])
+
+        system, stale, report, calls, rounds = self._drain(
+            schema, history, drift_data, tmp_path / "lost.db", monkeypatch,
+            before=drop_one_lease,
+        )
+        assert report.lost_leases == 1
+        # bulk call, one probe per cell, then the survivors' compute
+        assert calls[: 1 + len(stale)] == [len(stale)] + [1] * len(stale)
+        assert len(rounds) == 2  # the lost cell came back in a new claim
+        assert sorted(report.cells) == sorted(stale)
+        assert system.store.stale_cells(system.model_fingerprints) == []
+        system.store.close()
