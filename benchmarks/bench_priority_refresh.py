@@ -206,7 +206,6 @@ def _scores(n_users):
 def _drain_budgeted(store, fresh_fps, budget):
     """Claim/refresh/release rounds until the budget is spent — the
     store-level skeleton of what a worker pool does per epoch."""
-    ph = store.placeholder
     store.set_refresh_budget(budget)
     drained = 0
     while True:
@@ -217,9 +216,8 @@ def _drain_budgeted(store, fresh_fps, budget):
             conn, prefix = store.backend.conn, store._db_for(user)
             with conn:
                 conn.execute(
-                    f"UPDATE {prefix}.temporal_inputs SET model_fp = {ph},"
-                    f" refreshed_at = {ph}"
-                    f" WHERE user_id = {ph} AND time = {ph}",
+                    f"UPDATE {prefix}.temporal_inputs SET model_fp = ?,"
+                    " refreshed_at = ? WHERE user_id = ? AND time = ?",
                     (fresh_fps[t], store.clock_now(), user, t),
                 )
         store.release_cells("bench", cells)

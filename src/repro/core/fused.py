@@ -602,9 +602,10 @@ def generate_fused(
     top of every lock-stepped round.  A fused call over a large claim
     can outlive a lease that was taken before it started, so lease-based
     callers use this as a heartbeat (the worker drain renews its claim's
-    leases here); rounds are the natural cadence — seconds apart even
-    for epoch-sized claims.  The hook must not mutate cells or beams;
-    results are byte-identical with or without it.
+    leases here once a quarter of the lease has passed since their last
+    renewal; rounds themselves are milliseconds apart).  The hook must
+    not mutate cells or beams; results are byte-identical with or
+    without it.
     """
     cells = list(cells)
     report = FusedReport(cells=len(cells))

@@ -88,9 +88,8 @@ class EpochOutcome:
     rows: int
     #: the worker pool's aggregate drain report
     pool: PoolReport
-    #: store content digest after the drain (the identity check value);
-    #: ``None`` when digest checkpointing is disabled
-    store_digest: str | None
+    #: store content digest after the drain (the identity check value)
+    store_digest: str
     #: feed cursor persisted with this epoch (``None``: feed not resumable)
     feed_offset: int | None
     #: priority/budget/SLA outcome of this epoch — ``drained_by_tier``
@@ -133,7 +132,7 @@ class RefreshOrchestrator:
         Forwarded to the underlying
         :class:`~repro.core.scheduler.RefreshScheduler`.
     n_workers / db_backend / claim_batch / lease_seconds /
-    shard_affinity / start_method:
+    shard_affinity:
         Forwarded to :func:`~repro.core.worker.run_worker_pool`;
         ``shard_affinity=True`` pins worker *i* to shard ``i %
         n_shards`` so each epoch's workers upsert into distinct shard
@@ -160,13 +159,6 @@ class RefreshOrchestrator:
         Half-life (seconds) of the decayed per-user activity score
         folded from the serving tier's ``access_log`` at the top of
         every epoch (:meth:`CandidateStore.materialize_priorities`).
-    checkpoint_digest:
-        Whether the post-drain checkpoint records
-        ``contents_digest()``.  The digest is the replica-comparison /
-        identity-audit value, but computing it re-reads and hashes the
-        **whole** store — O(total rows), not O(cells recomputed) — so
-        very large deployments with small frequent epochs may turn it
-        off; recovery never needs it.
     fault_hook:
         Test/benchmark instrumentation: ``callable(stage)`` invoked at
         ``'epoch-saved'`` (after the pre-drain checkpoint) and
@@ -206,13 +198,10 @@ class RefreshOrchestrator:
         claim_batch: int = 2,
         lease_seconds: float = 30.0,
         shard_affinity: bool = False,
-        start_method: str | None = None,
         budget: int | None = None,
         sla_epochs: int | None = None,
         priority_halflife: float = 3600.0,
         clock=time.monotonic,
-        checkpoint_digest: bool = True,
-        on_cells_refreshed=None,
         fault_hook=None,
         ha: bool = False,
         node_id: str | None = None,
@@ -241,14 +230,6 @@ class RefreshOrchestrator:
         self.claim_batch = int(claim_batch)
         self.lease_seconds = float(lease_seconds)
         self.shard_affinity = bool(shard_affinity)
-        self.start_method = start_method
-        self.checkpoint_digest = bool(checkpoint_digest)
-        #: optional ``callable(cells)`` invoked after each drain with the
-        #: ``(user_id, time)`` cells the pool recomputed — a co-located
-        #: serving tier hooks its rendered-insight cache here for *eager*
-        #: invalidation (purely an optimisation: the cache re-validates
-        #: every hit against the fingerprint ledger regardless)
-        self.on_cells_refreshed = on_cells_refreshed
         self.fault_hook = fault_hook
         self.ha = bool(ha)
         self.node_id = (
@@ -491,18 +472,8 @@ class RefreshOrchestrator:
         # advisory health snapshot, after the durable write it describes
         self._publish_metrics(phase)
 
-    def _epoch_digest(self) -> str | None:
-        """The post-drain store digest, or ``None`` when disabled
-        (``checkpoint_digest=False`` — the digest is an O(store-size)
-        scan-and-hash, the only per-epoch cost not proportional to the
-        recomputed cells)."""
-        if not self.checkpoint_digest:
-            return None
-        return self.system.store.contents_digest()
-
     def _dispatch_pool(self) -> PoolReport:
         self._fence()
-        track = self.budget is not None or self.sla_epochs is not None
         return run_worker_pool(
             self.system_path,
             self.db_path,
@@ -512,15 +483,12 @@ class RefreshOrchestrator:
             claim_batch=self.claim_batch,
             lease_seconds=self.lease_seconds,
             shard_affinity=self.shard_affinity,
-            start_method=self.start_method,
-            stats_store=self.system.store if track else None,
-            fingerprints=self.system.model_fingerprints if track else None,
             leader_token=(
                 (self.node_id, self.lease_epoch) if self.ha else None
             ),
         )
 
-    def _drain_and_checkpoint(self) -> tuple[PoolReport, str | None]:
+    def _drain_and_checkpoint(self) -> tuple[PoolReport, str]:
         """The kill-safety epilogue — checkpoint ``'draining'`` →
         dispatch pool → digest → count the epoch → checkpoint ``'idle'``
         — shared verbatim by normal epochs and :meth:`recover`, so the
@@ -535,10 +503,6 @@ class RefreshOrchestrator:
         self._candidates_written += pool.candidates_written
         self._lost_leases += sum(w.lost_leases for w in pool.workers)
         self._skipped_cells += len(pool.skipped_cells)
-        if self.on_cells_refreshed is not None and pool.cells_recomputed:
-            self.on_cells_refreshed(
-                tuple(cell for worker in pool.workers for cell in worker.cells)
-            )
         # fold the drain's outcome into the durable budget/SLA state
         # *before* the idle checkpoint, so the checkpointed carry-over
         # and stale-since map always describe the post-drain store
@@ -554,7 +518,7 @@ class RefreshOrchestrator:
                 for cell, first in self._stale_since.items()
                 if cell in still
             }
-        digest = self._epoch_digest()
+        digest = self.system.store.contents_digest()
         self._epochs_completed += 1
         self._checkpoint("idle", digest=digest)
         if self.fault_hook is not None:
@@ -615,12 +579,8 @@ class RefreshOrchestrator:
         freshness = {
             "drained_by_tier": tiers,
             "sla_violations": violations,
-            "traffic_weighted": (
-                pool.freshness
-                if pool.freshness is not None
-                else store.traffic_weighted_freshness(
-                    self.system.model_fingerprints
-                )
+            "traffic_weighted": store.traffic_weighted_freshness(
+                self.system.model_fingerprints
             ),
         }
         if self.budget is not None:
@@ -694,7 +654,9 @@ class RefreshOrchestrator:
         if not recoverable:
             if state.get("phase") == "draining":
                 self._epochs_completed += 1
-                self._checkpoint("idle", digest=self._epoch_digest())
+                self._checkpoint(
+                    "idle", digest=self.system.store.contents_digest()
+                )
             return None
         # the pre-drain checkpoint also guarantees the saved pickle
         # carries the current (refit) models before workers load it
@@ -714,7 +676,6 @@ class RefreshOrchestrator:
         poll_interval: float = 0.0,
         sleep=time.sleep,
         on_epoch=None,
-        flush_on_exhausted: bool = True,
     ) -> list[RefreshEpoch]:
         """Recover any interrupted drain (unless :meth:`recover` already
         ran on this instance — the CLI calls it explicitly first to
@@ -741,5 +702,4 @@ class RefreshOrchestrator:
             poll_interval=poll_interval,
             sleep=sleep,
             on_epoch=on_epoch,
-            flush_on_exhausted=flush_on_exhausted,
         )

@@ -465,15 +465,14 @@ class RefreshScheduler:
         poll_interval: float = 0.0,
         sleep=time.sleep,
         on_epoch=None,
-        flush_on_exhausted: bool = True,
     ) -> list[RefreshEpoch]:
         """Poll until the feed is exhausted or a budget is reached.
 
         ``on_epoch(epoch)`` is called after every refresh (the
-        ``refresh-orchestrator`` verb reports each epoch there).  With
-        ``flush_on_exhausted`` a finite feed's sub-threshold tail still
-        gets refreshed before the loop ends.  Returns the epochs run
-        during *this* call.
+        ``refresh-orchestrator`` verb reports each epoch there).  A
+        finite feed's sub-threshold tail is flushed into one last
+        refresh before the loop ends.  Returns the epochs run during
+        *this* call.
         """
         first_epoch = len(self.epochs)
         polls = 0
@@ -489,10 +488,9 @@ class RefreshScheduler:
             if epoch is not None and on_epoch is not None:
                 on_epoch(epoch)
             if self.feed.exhausted:
-                if flush_on_exhausted:
-                    final = self.flush()
-                    if final is not None and on_epoch is not None:
-                        on_epoch(final)
+                final = self.flush()
+                if final is not None and on_epoch is not None:
+                    on_epoch(final)
                 break
             if epoch is None and poll_interval > 0:
                 sleep(poll_interval)

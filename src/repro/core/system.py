@@ -27,7 +27,7 @@ Wires the full architecture together:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ from repro.constraints.evaluate import ConstraintsFunction
 from repro.core.candidates import Candidate, CandidateGenerator
 from repro.core.fused import FusedCell, generate_fused
 from repro.core.insights import Insight, InsightEngine
-from repro.core.objectives import OBJECTIVE_PRESETS, Objective, get_objective
+from repro.core.objectives import OBJECTIVE_PRESETS, Objective
 from repro.core.plans import Plan, build_plan
 from repro.data.dataset import TemporalDataset
 from repro.data.schema import DatasetSchema
@@ -85,17 +85,6 @@ class AdminConfig:
     #: benchmarks/bench_incremental_refresh.py).  Disable for the
     #: bit-identical-to-cold-recompute reference path.
     warm_start: bool = True
-    #: with warm start on, seed only the top-m stored candidates of each
-    #: cell (ranked by the configured objective) instead of all of them —
-    #: trims the warm beam's extra exploration while keeping the best old
-    #: optima as anchors.  ``None`` seeds every stored candidate.
-    warm_top_m: int | None = None
-    #: tighter no-improvement patience for warm-started cell searches
-    #: (a beam resumed near the old optimum converges in fewer stale
-    #: iterations than a cold search deserves).  ``None`` keeps
-    #: :attr:`patience`.
-    warm_patience: int | None = None
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         """Eager validation: fail at configuration time, not deep inside
@@ -111,14 +100,6 @@ class AdminConfig:
                 f"unknown objective {self.objective!r};"
                 f" allowed values: {sorted(OBJECTIVE_PRESETS)}"
                 " (or pass an Objective instance)"
-            )
-        if self.warm_top_m is not None and self.warm_top_m < 1:
-            raise ValueError(
-                f"warm_top_m must be >= 1 or None, got {self.warm_top_m}"
-            )
-        if self.warm_patience is not None and self.warm_patience < 1:
-            raise ValueError(
-                f"warm_patience must be >= 1 or None, got {self.warm_patience}"
             )
 
 
@@ -578,36 +559,13 @@ class JustInTime:
 
     # ------------------------------------------------------------ helpers
 
-    def _warm_vectors(self, user_id: str, t: int) -> np.ndarray:
-        """Stored candidate vectors seeding one cell's warm beam.
-
-        With :attr:`AdminConfig.warm_top_m` set, only the m best stored
-        candidates (by the configured objective) are seeded — the
-        ROADMAP warm-start tuning: the old optima still anchor the beam,
-        without the full stored set widening the explored frontier.
-        """
-        m = getattr(self.config, "warm_top_m", None)
-        if m is None:
-            return self.store.cell_vectors(user_id, t)
-        candidates = self.store.load_candidates(user_id, time=t)
-        if not candidates:
-            return np.empty((0, len(self.schema)))
-        objective = get_objective(self.config.objective)
-        ranked = sorted(candidates, key=lambda c: objective.key(c.metrics))
-        return np.vstack([c.x for c in ranked[:m]])
-
     def _cell_generator(
-        self, t: int, constraints: ConstraintsFunction, *, warm: bool = False
+        self, t: int, constraints: ConstraintsFunction
     ) -> CandidateGenerator:
         """One (user, t) cell's candidates generator — the per-t seed
-        formula makes any recompute of the cell deterministic.  ``warm``
-        marks a search actually seeded with stored candidates, which may
-        run under the tighter :attr:`AdminConfig.warm_patience`."""
+        formula makes any recompute of the cell deterministic."""
         cfg = self.config
         future_model = self.future_models[t]
-        patience = cfg.patience
-        if warm and getattr(cfg, "warm_patience", None) is not None:
-            patience = cfg.warm_patience
         return CandidateGenerator(
             future_model.model,
             future_model.threshold,
@@ -616,7 +574,7 @@ class JustInTime:
             k=cfg.k,
             beam_width=cfg.beam_width,
             max_iter=cfg.max_iter,
-            patience=patience,
+            patience=cfg.patience,
             objective=cfg.objective,
             diff_scale=self.diff_scale,
             random_state=cfg.random_state + 7919 * (t + 1),
@@ -638,14 +596,12 @@ class JustInTime:
         keying cell dedup.  With ``warm``, the cell's stored candidates
         are read here and seed its beam, so callers build every cell
         before writing any."""
-        seeds = self._warm_vectors(user_id, t) if warm else None
+        seeds = self.store.cell_vectors(user_id, t) if warm else None
         return FusedCell(
             cell_id=(user_id, t),
             t=t,
             x_base=x_base,
-            generator=self._cell_generator(
-                t, constraints, warm=seeds is not None and seeds.size > 0
-            ),
+            generator=self._cell_generator(t, constraints),
             model_fp=self.future_models[t].fingerprint or None,
             warm_start=seeds,
             constraints_key=constraints_key,

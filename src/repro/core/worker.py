@@ -46,6 +46,10 @@ from repro.exceptions import StorageError
 
 __all__ = ["PoolReport", "WorkerReport", "drain_stale_cells", "run_worker_pool"]
 
+#: share of ``lease_seconds`` that must pass since a claim's last lease
+#: renewal before the per-round heartbeat renews it again
+_HEARTBEAT_SHARE = 0.25
+
 
 @dataclass
 class WorkerReport:
@@ -82,10 +86,6 @@ class PoolReport:
     skipped_cells: tuple
     #: per-key sum of the workers' :attr:`WorkerReport.search` counters
     search: dict = field(default_factory=dict)
-    #: post-drain :meth:`CandidateStore.traffic_weighted_freshness`
-    #: snapshot (``stats_store``/``fingerprints`` given to
-    #: :func:`run_worker_pool`); ``None`` otherwise
-    freshness: dict | None = None
 
 
 def drain_stale_cells(
@@ -146,9 +146,12 @@ def drain_stale_cells(
     :class:`~repro.core.fused.EpochProposalCache` persists across claim
     batches so identical proposal rows seen under the same model
     fingerprint are never re-scored.  The claim's leases are renewed in
-    one :meth:`CandidateStore.renew_leases` call before the compute, in
-    one every lock-stepped round and in one after it, and the cells
-    whose leases survived the compute are written in one grouped
+    one :meth:`CandidateStore.renew_leases` call before the compute and
+    in one after it; in between, the per-round heartbeat renews them in
+    one call whenever a quarter of ``lease_seconds`` has passed since
+    their last renewal, so leases stay live as long as one lock-stepped
+    round takes less than three quarters of ``lease_seconds``.  The
+    cells whose leases survived the compute are written in one grouped
     ``upsert_cells`` transaction.
     The store contents are byte-identical to computing each cell on its
     own with :meth:`CandidateGenerator.generate`.
@@ -217,13 +220,14 @@ def drain_stale_cells(
                 constraint_keys[user_id] = system._constraints_cache_key(texts)
         return True
 
-    def renew(cells: list) -> list:
-        """Renew the leases on ``cells`` in one call; returns the cells
-        still held.  A lease that expired belongs to another worker now:
-        only when the call renews fewer cells than it was given are the
-        cells probed one at a time to find the lost ones."""
+    def renew(cells: list, now: float) -> list:
+        """Renew the leases on ``cells`` in one call at lease-clock time
+        ``now``; returns the cells still held.  A lease that expired
+        belongs to another worker now: only when the call renews fewer
+        cells than it was given are the cells probed one at a time to
+        find the lost ones."""
         renewed = store.renew_leases(
-            worker_id, cells, lease_seconds=lease_seconds, now=clock()
+            worker_id, cells, lease_seconds=lease_seconds, now=now
         )
         if renewed == len(cells):
             return cells
@@ -282,7 +286,8 @@ def drain_stale_cells(
             continue
         ready = [(u, t) for u, t in claimed if computable(u, t)]
         # re-arm the claim's leases for the compute ahead
-        ready = renew(ready) if ready else []
+        renewed_at = clock()
+        ready = renew(ready, renewed_at) if ready else []
         if not ready:
             continue
         cells = [
@@ -302,16 +307,19 @@ def drain_stale_cells(
         # compute can outlive lease_seconds — and an expired lease is
         # never renewed (another worker may have reclaimed the cell),
         # which would lose every cell and re-claim the same batch
-        # forever.  Renewing the claim's leases each lock-stepped
-        # round (one bulk call, seconds apart) keeps them live for
-        # the duration of the compute.
+        # forever.  Rounds are milliseconds apart, so the round hook
+        # renews the claim's leases (one bulk call) only once a quarter
+        # of the lease has passed since their last renewal — the one
+        # above counts — which keeps them live for the whole compute.
         def heartbeat(cells=ready):
+            nonlocal renewed_at
+            now = clock()
+            if now - renewed_at < lease_seconds * _HEARTBEAT_SHARE:
+                return
             store.renew_leases(
-                worker_id,
-                cells,
-                lease_seconds=lease_seconds,
-                now=clock(),
+                worker_id, cells, lease_seconds=lease_seconds, now=now
             )
+            renewed_at = now
 
         outcome, fused_report = generate_fused(
             cells, cache=epoch_cache, on_round=heartbeat
@@ -320,7 +328,7 @@ def drain_stale_cells(
         all_stats.extend(stats for _, stats in outcome.values())
         # the lock-stepped compute may have outlived the leases: cells
         # whose lease expired belong to another worker now
-        survivors = renew(ready)
+        survivors = renew(ready, clock())
         rows = [
             (user_id, t, outcome[(user_id, t)][0], trajectories[user_id][t])
             for user_id, t in survivors
@@ -391,17 +399,6 @@ def worker_main(
     return report
 
 
-def _pool_context(start_method: str | None):
-    if start_method is not None:
-        return multiprocessing.get_context(start_method)
-    # fork shares the parent's already-loaded interpreter state, so
-    # worker startup is milliseconds instead of a fresh import chain;
-    # fall back to spawn where fork does not exist (Windows) — the
-    # module-level worker_main is spawn-safe
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
 def run_worker_pool(
     system_path: str | Path,
     db_path: str | Path,
@@ -412,10 +409,6 @@ def run_worker_pool(
     claim_batch: int = 2,
     lease_seconds: float = 30.0,
     shard_affinity: bool = False,
-    start_method: str | None = None,
-    timeout: float | None = None,
-    stats_store=None,
-    fingerprints: dict[int, str] | None = None,
     leader_token: tuple | None = None,
 ) -> PoolReport:
     """Spawn ``n_workers`` processes draining one shared store.
@@ -430,11 +423,6 @@ def run_worker_pool(
     recovered by the survivors once the lease expires, so a partial
     pool failure leaves the store consistent, merely unfinished.
 
-    ``stats_store`` + ``fingerprints`` (the coordinator's open store
-    and current model fingerprints) attach a post-drain
-    traffic-weighted freshness snapshot to the report — how much of the
-    read traffic a *budgeted* (possibly partial) drain left fresh.
-
     ``leader_token`` fences every worker's claim rounds on the
     dispatching orchestrator's leader seat (see
     :func:`drain_stale_cells`) — pass it when the pool runs on behalf
@@ -442,7 +430,12 @@ def run_worker_pool(
     """
     if n_workers < 1:
         raise StorageError("n_workers must be >= 1")
-    ctx = _pool_context(start_method)
+    # fork shares the parent's already-loaded interpreter state, so
+    # worker startup is milliseconds instead of a fresh import chain;
+    # fall back to spawn where fork does not exist (Windows) — the
+    # module-level worker_main is spawn-safe
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
     with tempfile.TemporaryDirectory(prefix="repro-pool-") as tmp:
         procs = []
         result_paths = []
@@ -467,18 +460,7 @@ def run_worker_pool(
         for proc in procs:
             proc.start()
         for proc in procs:
-            proc.join(timeout)
-        # a worker still alive after its join window timed out: kill it
-        # *before* raising — an orphan would keep writing to the shared
-        # store (and into this soon-to-be-deleted result directory)
-        # while the caller believes the pool is done
-        for proc in procs:
-            if proc.exitcode is None:
-                proc.terminate()
-                proc.join(5.0)
-                if proc.exitcode is None:
-                    proc.kill()
-                    proc.join()
+            proc.join()
         failures = [
             f"worker-{i} exitcode {proc.exitcode}"
             for i, proc in enumerate(procs)
@@ -509,14 +491,10 @@ def run_worker_pool(
     for r in reports:
         for key, value in (r.search or {}).items():
             search_totals[key] = search_totals.get(key, 0) + int(value)
-    freshness = None
-    if stats_store is not None and fingerprints is not None:
-        freshness = stats_store.traffic_weighted_freshness(fingerprints)
     return PoolReport(
         workers=tuple(reports),
         cells_recomputed=sum(len(r.cells) for r in reports),
         candidates_written=sum(r.candidates_written for r in reports),
         skipped_cells=tuple(skipped),
         search=search_totals,
-        freshness=freshness,
     )

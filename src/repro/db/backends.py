@@ -19,14 +19,11 @@ rows live.  Three backends are provided:
     SQL passthrough and the Figure-2 canned queries — go through
     ``UNION ALL`` views, so the query layer is backend agnostic.
 
-All backends speak sqlite3 underneath: the contract is *connection
-topology* (how many databases, which schema a user's rows live in) plus
-a small **DB-API dialect seam** (:meth:`StoreBackend.placeholder`,
-:meth:`StoreBackend.begin_immediate_sql`,
-:meth:`StoreBackend.for_update_suffix`, :meth:`StoreBackend.clock_sql`)
-— the handful of spots where SQL engines actually differ — so an
-out-of-process backend (postgres/mysql) is a ~100-line subclass, not a
-store rewrite.  The shared backend-contract test suite in
+All backends speak sqlite3 underneath, and the store's SQL is SQLite's
+(``?`` binds, ``BEGIN IMMEDIATE``, ``INSERT OR REPLACE``,
+``julianday``): the contract here is *connection topology* only — how
+many databases, which schema a user's rows live in, and how a read
+replica is opened.  The shared backend-contract test suite in
 ``tests/test_store_backends.py`` runs every public store operation
 against all three.
 """
@@ -45,8 +42,18 @@ from repro.exceptions import StorageError
 #: bulk upsert on a loaded machine.
 _BUSY_TIMEOUT_S = 30.0
 
+#: The **store-side clock**: Unix-epoch seconds as computed by SQLite
+#: itself.  Lease and freshness timestamps are taken from this
+#: expression, evaluated *by the database*, not from ``time.time()`` in
+#: whichever process happens to call — so every worker sharing a store
+#: reads the same clock source and host clock skew cannot shrink or
+#: stretch leases.  2440587.5 is the julian day of 1970-01-01T00:00:00Z;
+#: julianday('now') has ~1 ms resolution, ample for multi-second leases.
+CLOCK_SQL = "(julianday('now') - 2440587.5) * 86400.0"
+
 __all__ = [
     "BACKEND_NAMES",
+    "CLOCK_SQL",
     "MemoryBackend",
     "ShardedSQLiteBackend",
     "SQLiteBackend",
@@ -63,42 +70,10 @@ class StoreBackend:
     attached databases) and answer two questions: which database schemas
     hold table copies, and which schema owns a given user's rows.  Every
     read and write of the store runs on that one connection.
-
-    The backend also owns the **SQL dialect seam** — the four spots
-    where relational engines actually differ, so the store's SQL
-    generation stays engine agnostic:
-
-    :meth:`placeholder`
-        Bind-parameter marker (sqlite3 ``?``; a postgres/mysql backend
-        returns ``%s``).
-    :meth:`begin_immediate_sql`
-        Statement opening a transaction that takes the coordination
-        write lock *up front* — what serialises lease claims across
-        processes.  SQLite: ``BEGIN IMMEDIATE``; postgres would return
-        ``BEGIN`` and rely on ``SELECT ... FOR UPDATE`` row locks
-        (:meth:`for_update_suffix`).
-    :meth:`for_update_suffix`
-        Row-lock suffix appended to the claim scan.  Empty for the
-        sqlite3 family (the immediate transaction already owns the
-        database write lock); ``" FOR UPDATE"`` on server backends.
-    :meth:`clock_sql`
-        The **store-side clock**: lease timestamps are taken from an
-        SQL expression evaluated *by the database*, not from
-        ``time.time()`` in whichever process happens to call — so every
-        worker sharing a store reads the same clock source and host
-        clock skew cannot shrink or stretch leases.  For the sqlite3
-        family that is ``julianday('now')`` converted to Unix seconds;
-        an out-of-process backend would return its server-side
-        equivalent (e.g. ``EXTRACT(EPOCH FROM now())``).
     """
 
     #: the router connection: every read, write and lease claim
     conn: sqlite3.Connection
-
-    #: Unix-epoch seconds as computed by SQLite itself.  2440587.5 is the
-    #: julian day of 1970-01-01T00:00:00Z; julianday('now') has ~1 ms
-    #: resolution, ample for multi-second leases.
-    CLOCK_SQL = "(julianday('now') - 2440587.5) * 86400.0"
 
     def schemas(self) -> tuple[str, ...]:
         """Database schema names holding one copy of each table."""
@@ -107,25 +82,6 @@ class StoreBackend:
     def schema_for(self, user_id: str) -> str:
         """Schema owning ``user_id``'s rows (stable across processes)."""
         raise NotImplementedError
-
-    # ------------------------------------------------------ dialect seam
-
-    def placeholder(self) -> str:
-        """Bind-parameter marker of the engine's DB-API paramstyle."""
-        return "?"
-
-    def begin_immediate_sql(self) -> str:
-        """Statement opening a write-lock-up-front transaction."""
-        return "BEGIN IMMEDIATE"
-
-    def for_update_suffix(self) -> str:
-        """Row-lock suffix for the claim scan ('' when the transaction
-        lock already covers it)."""
-        return ""
-
-    def clock_sql(self) -> str:
-        """SQL expression yielding the store-side clock in Unix seconds."""
-        return self.CLOCK_SQL
 
     # ----------------------------------------------------- read replicas
 
@@ -148,9 +104,6 @@ class StoreBackend:
         ``check_same_thread=False`` because the pool hands connections
         to server executor threads (each connection is used by one
         thread at a time).
-
-        A server backend (postgres/mysql) overrides this to connect to
-        an actual read replica — same seam, same pool.
         """
         return None
 

@@ -1,12 +1,14 @@
 """Prepared-statement layer for the Figure-2 canned queries.
 
-Every canned query used to rebuild its SQL text per call — f-string
-interpolation of the dialect placeholder, identifier validation, the
-works — which is pure waste on a serving tier answering the same six
-questions millions of times.  :class:`PreparedQueries` compiles each
-query **once per (dialect placeholder, feature schema)** and exposes
-bind-per-call methods; :func:`prepared_for` memoises instances so every
-caller in the process shares one compiled set.
+Every canned query used to rebuild its SQL text per call — string
+interpolation, identifier validation, the works — which is pure waste
+on a serving tier answering the same six questions millions of times.
+:class:`PreparedQueries` compiles each query **once per feature
+schema** and exposes bind-per-call methods; :func:`prepared_for`
+memoises instances so every caller in the process shares one compiled
+set.  The SQL is SQLite's: ``?`` binds, named ``:user``/``:alpha``
+binds where one value repeats, and the store-side clock
+(:data:`~repro.db.backends.CLOCK_SQL`).
 
 Two layers of reuse stack here:
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from repro.db.backends import CLOCK_SQL
 from repro.exceptions import QueryError
 
 __all__ = ["PreparedQueries", "prepared_for", "row_to_dict"]
@@ -49,51 +52,39 @@ def row_to_dict(row) -> dict[str, Any]:
 
 
 class PreparedQueries:
-    """Q1–Q7 (and their helper queries) compiled once per dialect.
+    """Q1–Q7 (and their helper queries) compiled once per schema.
 
     Parameters
     ----------
-    placeholder:
-        The dialect's bind-parameter marker
-        (:meth:`~repro.db.backends.StoreBackend.placeholder`).
     feature_names:
         Schema feature names, used to validate Q3's feature argument
         before it is interpolated as an identifier.
     """
 
-    __slots__ = (
-        "placeholder",
-        "features",
-        "_sql",
-        "_feature_sql",
-        "_series_sql",
-        "_age_sql",
-    )
+    __slots__ = ("features", "_sql", "_feature_sql", "_series_sql")
 
-    def __init__(self, placeholder: str, feature_names) -> None:
-        ph = placeholder
-        self.placeholder = ph
+    def __init__(self, feature_names) -> None:
         self.features = tuple(str(name) for name in feature_names)
         self._sql = {
             "q1": (
                 "SELECT MIN(time) AS t FROM candidates"
-                f" WHERE user_id = {ph} AND diff <= {ph}"
+                " WHERE user_id = ? AND diff <= ?"
             ),
             "q2": (
-                f"SELECT * FROM candidates WHERE user_id = {ph}"
+                "SELECT * FROM candidates WHERE user_id = ?"
                 " ORDER BY gap, diff, p DESC LIMIT 1"
             ),
             "q4": (
-                f"SELECT * FROM candidates WHERE user_id = {ph}"
+                "SELECT * FROM candidates WHERE user_id = ?"
                 " ORDER BY diff, gap, p DESC LIMIT 1"
             ),
             "q5": (
-                f"SELECT * FROM candidates WHERE user_id = {ph}"
+                "SELECT * FROM candidates WHERE user_id = ?"
                 " ORDER BY p DESC, diff LIMIT 1"
             ),
             # Q6's universal quantification as a double NOT EXISTS
-            # (Figure 2 uses the non-portable ``>= ALL``); named binds —
-            # every DB-API paramstyle family supports dict binding
+            # (Figure 2 uses the ``>= ALL`` SQLite lacks); named binds,
+            # because the user id appears three times
             "q6": """
                 SELECT MIN(ti.time) AS t
                 FROM temporal_inputs ti
@@ -114,36 +105,41 @@ class PreparedQueries:
                 """,
             "q7": (
                 "SELECT * FROM candidates"
-                f" WHERE user_id = {ph} AND diff <= {ph}"
+                " WHERE user_id = ? AND diff <= ?"
                 " ORDER BY time, diff, p DESC LIMIT 1"
             ),
             "times": (
                 "SELECT DISTINCT time FROM temporal_inputs"
-                f" WHERE user_id = {ph} ORDER BY time"
+                " WHERE user_id = ? ORDER BY time"
             ),
             "ledger": (
                 "SELECT time, model_fp FROM temporal_inputs"
-                f" WHERE user_id = {ph} ORDER BY time"
+                " WHERE user_id = ? ORDER BY time"
             ),
             "input": (
                 "SELECT * FROM temporal_inputs"
-                f" WHERE user_id = {ph} AND time = {ph}"
+                " WHERE user_id = ? AND time = ?"
             ),
             # one cell's stored diverse plan set in selection order; rows
             # with plan_rank < 0 (legacy databases) carry no set
             "plan_set": (
                 "SELECT * FROM candidates"
-                f" WHERE user_id = {ph} AND time = {ph} AND plan_rank >= 0"
-                f" ORDER BY plan_rank, id LIMIT {ph}"
+                " WHERE user_id = ? AND time = ? AND plan_rank >= 0"
+                " ORDER BY plan_rank, id LIMIT ?"
+            ),
+            # oldest refreshed_at stamp's age, clock read and subtraction
+            # in one query; NULL for never-stamped rows
+            "age": (
+                "SELECT CASE WHEN MIN(refreshed_at) IS NULL"
+                " OR MIN(refreshed_at) <= 0 THEN NULL"
+                f" ELSE {CLOCK_SQL} - MIN(refreshed_at) END AS age"
+                " FROM temporal_inputs WHERE user_id = ?"
             ),
         }
         #: per-feature SQL (Q3 and its plan lookup) built on first use
         self._feature_sql: dict[str, tuple[str, str]] = {}
         #: per-aggregate series SQL built on first use
         self._series_sql: dict[str, str] = {}
-        #: per-clock-expression freshness SQL built on first use (the
-        #: clock expression is backend-owned, not part of this cache key)
-        self._age_sql: dict[str, str] = {}
 
     # ---------------------------------------------------------- helpers
 
@@ -159,7 +155,6 @@ class PreparedQueries:
         self._require_feature(feature)
         pair = self._feature_sql.get(feature)
         if pair is None:
-            ph = self.placeholder
             q3 = f"""
                 SELECT DISTINCT c.time AS t
                 FROM candidates c
@@ -179,7 +174,7 @@ class PreparedQueries:
                 SELECT c.* FROM candidates c
                 INNER JOIN temporal_inputs ti
                     ON ti.user_id = c.user_id AND ti.time = c.time
-                WHERE c.user_id = {ph} AND c.time = {ph}
+                WHERE c.user_id = ? AND c.time = ?
                   AND (c.gap = 0 OR (c.gap = 1 AND c.{feature} != ti.{feature}))
                 ORDER BY c.diff LIMIT 1
                 """
@@ -275,7 +270,7 @@ class PreparedQueries:
                 )
             sql = (
                 f"SELECT time, {aggregate} AS v FROM candidates"
-                f" WHERE user_id = {self.placeholder} GROUP BY time"
+                " WHERE user_id = ? GROUP BY time"
             )
             self._series_sql[aggregate] = sql
         return read(sql, (user_id,))
@@ -297,30 +292,18 @@ class PreparedQueries:
         rows = read(self._sql["input"], (user_id, int(time)))
         return rows[0] if rows else None
 
-    def oldest_age(
-        self, read: Reader, user_id: str, clock_sql: str
-    ) -> float | None:
+    def oldest_age(self, read: Reader, user_id: str) -> float | None:
         """Age in seconds of the user's oldest ``refreshed_at`` stamp,
         measured **entirely on the store clock**: the stamp was written
-        via the backend's clock expression, so the subtraction must read
-        the same expression (``clock_sql``,
-        :meth:`~repro.db.backends.StoreBackend.clock_sql`) — subtracting
-        a store stamp from host ``time.time()`` would fold host↔store
-        clock skew into the reported freshness.  One round-trip: clock
-        read and subtraction happen in the same query.  ``None`` for
-        unknown users or never-stamped rows (``refreshed_at = 0``,
-        pre-priority databases).
+        from :data:`~repro.db.backends.CLOCK_SQL`, so the subtraction
+        reads the same expression — subtracting a store stamp from host
+        ``time.time()`` would fold host↔store clock skew into the
+        reported freshness.  One round-trip: clock read and subtraction
+        happen in the same query.  ``None`` for unknown users or
+        never-stamped rows (``refreshed_at = 0``, pre-priority
+        databases).
         """
-        sql = self._age_sql.get(clock_sql)
-        if sql is None:
-            sql = (
-                "SELECT CASE WHEN MIN(refreshed_at) IS NULL"
-                " OR MIN(refreshed_at) <= 0 THEN NULL"
-                f" ELSE {clock_sql} - MIN(refreshed_at) END AS age"
-                f" FROM temporal_inputs WHERE user_id = {self.placeholder}"
-            )
-            self._age_sql[clock_sql] = sql
-        rows = read(sql, (user_id,))
+        rows = read(self._sql["age"], (user_id,))
         value = rows[0]["age"] if rows else None
         if value is None:
             return None
@@ -330,17 +313,17 @@ class PreparedQueries:
 _PREPARED_CACHE: dict[tuple, PreparedQueries] = {}
 
 
-def prepared_for(placeholder: str, feature_names) -> PreparedQueries:
-    """The process-wide compiled query set for one (dialect, schema).
+def prepared_for(feature_names) -> PreparedQueries:
+    """The process-wide compiled query set for one feature schema.
 
     Memoised: every store, replica connection and serving worker that
-    shares a placeholder and feature schema binds against the same SQL
-    text objects (which also keeps sqlite3's per-connection statement
-    cache hot — stable text is the cache key).
+    shares a feature schema binds against the same SQL text objects
+    (which also keeps sqlite3's per-connection statement cache hot —
+    stable text is the cache key).
     """
-    key = (str(placeholder), tuple(str(n) for n in feature_names))
+    key = tuple(str(n) for n in feature_names)
     prepared = _PREPARED_CACHE.get(key)
     if prepared is None:
-        prepared = PreparedQueries(key[0], key[1])
+        prepared = PreparedQueries(key)
         _PREPARED_CACHE[key] = prepared
     return prepared

@@ -18,9 +18,9 @@ Every function returns plain Python values / row dicts, ready for the
 insights layer.
 
 The SQL itself lives in :mod:`repro.db.prepared`, compiled once per
-(dialect placeholder, feature schema) and bound per call — these
-functions are the store-facing entry points, going through the public
-:meth:`CandidateStore.read` / :attr:`CandidateStore.placeholder` seam.
+feature schema and bound per call — these functions are the
+store-facing entry points, going through the public
+:meth:`CandidateStore.read` seam.
 The serving tier binds the *same* compiled statements against its
 read-only replica connections, which is what guarantees byte-identical
 answers between the two paths.
@@ -47,8 +47,8 @@ __all__ = [
 
 
 def prepared(store: CandidateStore) -> PreparedQueries:
-    """The compiled query set matching ``store``'s dialect and schema."""
-    return prepared_for(store.placeholder, store.schema.names)
+    """The compiled query set matching ``store``'s feature schema."""
+    return prepared_for(store.schema.names)
 
 
 def q1_no_modification(store: CandidateStore, user_id: str) -> int | None:

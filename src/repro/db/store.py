@@ -55,10 +55,11 @@ plan_rank, plan_quality, plan_min_dist)``
 
 Feature columns are generated from the dataset schema; names are
 validated as SQL identifiers.  All user-supplied *values* go through
-parametrised statements.  Storage topology (single file, in-memory, or
-user-sharded) is delegated to :mod:`repro.db.backends`; on a sharded
-backend every table exists once per shard and reads go through
-``UNION ALL`` views, so all SQL below stays backend agnostic.
+parametrised statements (``?`` binds: the SQL is SQLite's).  Storage
+topology (single file, in-memory, or user-sharded) is delegated to
+:mod:`repro.db.backends`; on a sharded backend every table exists once
+per shard and reads go through ``UNION ALL`` views, so all SQL below
+stays topology agnostic.
 
 **Write path** — every write runs on the router connection under the
 owning shard's schema prefix.  A bulk write is grouped per shard and
@@ -88,6 +89,7 @@ from repro.core.candidates import Candidate
 from repro.core.objectives import CandidateMetrics
 from repro.data.schema import DatasetSchema
 from repro.db.backends import (
+    CLOCK_SQL,
     ShardedSQLiteBackend,
     StoreBackend,
     complete_swap,
@@ -415,24 +417,11 @@ class CandidateStore:
 
     # ------------------------------------------------------------- writes
 
-    @property
-    def placeholder(self) -> str:
-        """The backend dialect's bind-parameter marker (DB-API seam).
-
-        Public: the canned Figure-2 queries, the prepared-statement
-        layer (:mod:`repro.db.prepared`) and the serving tier all build
-        SQL against it.
-        """
-        return self._backend.placeholder()
-
-    # retained internal alias (pre-serving-tier spelling)
-    _ph = placeholder
-
     def _insert_sql(
         self, db: str, table: str, extra_columns: tuple[str, ...] = ()
     ) -> str:
         columns = ["user_id", "time", *self.schema.names, *extra_columns]
-        placeholders = ", ".join(self._ph for _ in columns)
+        placeholders = ", ".join("?" for _ in columns)
         return (
             f"INSERT INTO {db}.{table} ({', '.join(columns)})"
             f" VALUES ({placeholders})"
@@ -519,7 +508,7 @@ class CandidateStore:
         db = self._db_for(user_id)
         with self._conn:
             self._conn.execute(
-                f"DELETE FROM {db}.temporal_inputs WHERE user_id = {self._ph}",
+                f"DELETE FROM {db}.temporal_inputs WHERE user_id = ?",
                 (user_id,),
             )
             self._conn.executemany(
@@ -676,7 +665,6 @@ class CandidateStore:
         old_n = backend.n_shards
         if m == old_n:
             return {"n_shards": m, "moved_users": 0}
-        ph = self._ph
         path = backend.path
         killed = False
 
@@ -691,7 +679,7 @@ class CandidateStore:
             self._conn.execute("DELETE FROM main.rebalance_state")
             self._conn.execute(
                 "INSERT INTO main.rebalance_state"
-                f" (phase, old_shards, new_shards) VALUES ({ph}, {ph}, {ph})",
+                " (phase, old_shards, new_shards) VALUES (?, ?, ?)",
                 ("build", old_n, m),
             )
         fire("state-build")
@@ -699,7 +687,7 @@ class CandidateStore:
             moved = self._build_rebalance_shards(path, old_n, m, fire)
             with self._conn:
                 self._conn.execute(
-                    f"UPDATE main.rebalance_state SET phase = {ph}", ("swap",)
+                    "UPDATE main.rebalance_state SET phase = ?", ("swap",)
                 )
             fire("state-swap")
         except BaseException:
@@ -811,7 +799,7 @@ class CandidateStore:
                         "ATTACH DATABASE ? AS src", (f"{path}.shard{old_i}",)
                     )
                     for batch in _batched(mine, 400):
-                        marks = ", ".join(self._ph for _ in batch)
+                        marks = ", ".join("?" for _ in batch)
                         for table, columns, order in copies:
                             conn.execute(
                                 f"INSERT INTO main.{table} ({columns})"
@@ -842,30 +830,30 @@ class CandidateStore:
         re-store their cells; use :meth:`JustInTime.drop_session` to
         fully forget a user.
         """
-        conn, db, ph = self._conn, self._db_for(user_id), self._ph
+        conn, db = self._conn, self._db_for(user_id)
         with conn:
             if time is None:
                 conn.execute(
-                    f"DELETE FROM {db}.candidates WHERE user_id = {ph}",
+                    f"DELETE FROM {db}.candidates WHERE user_id = ?",
                     (user_id,),
                 )
                 conn.execute(
-                    f"DELETE FROM {db}.temporal_inputs WHERE user_id = {ph}",
+                    f"DELETE FROM {db}.temporal_inputs WHERE user_id = ?",
                     (user_id,),
                 )
                 conn.execute(
-                    f"DELETE FROM {db}.user_sessions WHERE user_id = {ph}",
+                    f"DELETE FROM {db}.user_sessions WHERE user_id = ?",
                     (user_id,),
                 )
             else:
                 conn.execute(
                     f"DELETE FROM {db}.candidates"
-                    f" WHERE user_id = {ph} AND time = {ph}",
+                    " WHERE user_id = ? AND time = ?",
                     (user_id, int(time)),
                 )
                 conn.execute(
                     f"UPDATE {db}.temporal_inputs SET model_fp = ''"
-                    f" WHERE user_id = {ph} AND time = {ph}",
+                    " WHERE user_id = ? AND time = ?",
                     (user_id, int(time)),
                 )
 
@@ -885,9 +873,6 @@ class CandidateStore:
             return self._conn.execute(query, params).fetchall()
         except sqlite3.Error as exc:
             raise StorageError(f"SQL error: {exc}") from exc
-
-    # retained internal alias (pre-serving-tier spelling)
-    _read = read
 
     def sql(self, query: str, params=()) -> list[sqlite3.Row]:
         """Expert passthrough: run **read-only** SQL and return rows.
@@ -929,9 +914,9 @@ class CandidateStore:
 
     def candidate_count(self, user_id: str | None = None) -> int:
         if user_id is None:
-            rows = self._read("SELECT COUNT(*) AS n FROM candidates")
+            rows = self.read("SELECT COUNT(*) AS n FROM candidates")
         else:
-            rows = self._read(
+            rows = self.read(
                 "SELECT COUNT(*) AS n FROM candidates WHERE user_id = ?",
                 (user_id,),
             )
@@ -939,7 +924,7 @@ class CandidateStore:
 
     def temporal_input(self, user_id: str, time: int) -> np.ndarray:
         """Fetch one temporal-input vector back out of the store."""
-        rows = self._read(
+        rows = self.read(
             "SELECT * FROM temporal_inputs WHERE user_id = ? AND time = ?",
             (user_id, int(time)),
         )
@@ -952,7 +937,7 @@ class CandidateStore:
 
     def times_for(self, user_id: str) -> list[int]:
         """Sorted distinct time points present in temporal_inputs."""
-        rows = self._read(
+        rows = self.read(
             "SELECT DISTINCT time FROM temporal_inputs WHERE user_id = ?"
             " ORDER BY time",
             (user_id,),
@@ -961,14 +946,14 @@ class CandidateStore:
 
     def user_ids(self) -> list[str]:
         """Sorted distinct user ids present in temporal_inputs."""
-        rows = self._read(
+        rows = self.read(
             "SELECT DISTINCT user_id FROM temporal_inputs ORDER BY user_id"
         )
         return [str(r["user_id"]) for r in rows]
 
     def cell_fingerprints(self, user_id: str) -> dict[int, str]:
         """``{time: model fingerprint}`` the user's cells were computed under."""
-        rows = self._read(
+        rows = self.read(
             "SELECT time, model_fp FROM temporal_inputs WHERE user_id = ?"
             " ORDER BY time",
             (user_id,),
@@ -980,7 +965,7 @@ class CandidateStore:
         ``{user_id: {time: model_fp}}`` (one scan beats per-user or
         per-time queries, which on the sharded backend would each fan out
         across every shard)."""
-        rows = self._read(
+        rows = self.read(
             "SELECT user_id, time, model_fp FROM temporal_inputs"
             " ORDER BY user_id, time"
         )
@@ -1012,7 +997,7 @@ class CandidateStore:
         if not fingerprints:
             return []
         values, params = self._fingerprint_values(fingerprints)
-        rows = self._read(
+        rows = self.read(
             "SELECT ti.user_id AS user_id, ti.time AS time"
             " FROM temporal_inputs AS ti"
             f" JOIN (VALUES {values}) AS fp"
@@ -1047,24 +1032,20 @@ class CandidateStore:
         :meth:`stale_cells`, the claim scan and the stale probe, so the
         three can never diverge on what "stale" means."""
         pairs = sorted((int(t), fp or "") for t, fp in fingerprints.items())
-        ph = self._ph
-        values = ", ".join(f"({ph}, {ph})" for _ in pairs)
+        values = ", ".join("(?, ?)" for _ in pairs)
         return values, [value for pair in pairs for value in pair]
 
     def clock_now(self) -> float:
         """Unix seconds read from the **store-side clock**.
 
         Lease arithmetic (claim expiry, renewal windows) uses this
-        instead of ``time.time()`` by default: the value comes from an
-        SQL expression the backend owns
-        (:meth:`~repro.db.backends.StoreBackend.clock_sql`), so every
-        worker of a shared store reads one clock source and host clock
-        skew cannot shrink or stretch leases.  Tests (and callers that
-        need a reproducible clock) keep passing ``now=`` explicitly.
+        instead of ``time.time()`` by default: the value comes from
+        SQLite's own clock (:data:`~repro.db.backends.CLOCK_SQL`), so
+        every worker of a shared store reads one clock source and host
+        clock skew cannot shrink or stretch leases.  Tests (and callers
+        that need a reproducible clock) keep passing ``now=`` explicitly.
         """
-        row = self._conn.execute(
-            f"SELECT {self._backend.clock_sql()}"
-        ).fetchone()
+        row = self._conn.execute(f"SELECT {CLOCK_SQL}").fetchone()
         return float(row[0])
 
     def _begin_immediate(self) -> None:
@@ -1079,7 +1060,7 @@ class CandidateStore:
                 "cannot lock the store inside an open transaction"
             )
         try:
-            self._conn.execute(self._backend.begin_immediate_sql())
+            self._conn.execute("BEGIN IMMEDIATE")
         except sqlite3.Error as exc:
             raise StorageError(f"could not lock store: {exc}") from exc
 
@@ -1137,7 +1118,7 @@ class CandidateStore:
         claimed: list[tuple[str, int]] = []
         self._begin_immediate()
         try:
-            budget_row = self._read(
+            budget_row = self.read(
                 "SELECT remaining FROM main.refresh_budget WHERE id = 1"
             )
             scan_limit = int(limit)
@@ -1157,16 +1138,15 @@ class CandidateStore:
                 if (user_id, t) in excluded:
                     continue
                 db = self._db_for(user_id)
-                ph = self._ph
                 cursor = self._conn.execute(
                     f"""
                     INSERT INTO {db}.refresh_leases
                         (user_id, time, worker_id, lease_expires_at)
-                    VALUES ({ph}, {ph}, {ph}, {ph})
+                    VALUES (?, ?, ?, ?)
                     ON CONFLICT (user_id, time) DO UPDATE SET
                         worker_id = excluded.worker_id,
                         lease_expires_at = excluded.lease_expires_at
-                    WHERE refresh_leases.lease_expires_at <= {ph}
+                    WHERE refresh_leases.lease_expires_at <= ?
                        OR refresh_leases.worker_id = excluded.worker_id
                     """,
                     (user_id, t, str(worker_id), expires, now),
@@ -1176,7 +1156,7 @@ class CandidateStore:
             if budget_row and claimed:
                 self._conn.execute(
                     "UPDATE main.refresh_budget"
-                    f" SET remaining = remaining - {self._ph} WHERE id = 1",
+                    " SET remaining = remaining - ? WHERE id = 1",
                     (len(claimed),),
                 )
             self._conn.commit()
@@ -1218,7 +1198,6 @@ class CandidateStore:
         priority ledger order, which the digest-identity suites pin.
         """
         values, fp_params = self._fingerprint_values(fingerprints)
-        ph = self._ph
         query = (
             "SELECT ti.user_id AS user_id, ti.time AS time,"
             " COALESCE(up.score, 0.0) AS priority,"
@@ -1232,11 +1211,10 @@ class CandidateStore:
             " ON esc.user_id = ti.user_id AND esc.time = ti.time"
             f" LEFT JOIN {db}.refresh_leases AS rl"
             " ON rl.user_id = ti.user_id AND rl.time = ti.time"
-            f" WHERE rl.user_id IS NULL OR rl.lease_expires_at <= {ph}"
-            f" OR rl.worker_id = {ph}"
+            " WHERE rl.user_id IS NULL OR rl.lease_expires_at <= ?"
+            " OR rl.worker_id = ?"
             " ORDER BY escalated DESC, priority DESC, ti.user_id, ti.time"
-            f" LIMIT {ph}"
-            f"{self._backend.for_update_suffix()}"
+            " LIMIT ?"
         )
         return query, [*fp_params, float(now), str(worker_id), int(limit)]
 
@@ -1284,7 +1262,7 @@ class CandidateStore:
                     str(r["user_id"]),
                     int(r["time"]),
                 )
-                for r in self._read(query, params)
+                for r in self.read(query, params)
             )
             if affinity and len(cells) >= limit:
                 break
@@ -1314,7 +1292,7 @@ class CandidateStore:
             query, params = self._claim_scan_sql(db, fingerprints, "plan", 0.0, 1)
             details.extend(
                 str(row[-1])
-                for row in self._read("EXPLAIN QUERY PLAN " + query, params)
+                for row in self.read("EXPLAIN QUERY PLAN " + query, params)
             )
         return details
 
@@ -1341,12 +1319,12 @@ class CandidateStore:
         values, params = self._fingerprint_values(fingerprints)
         limit = len(excluded) + 1
         for db in self._backend.schemas():
-            rows = self._read(
+            rows = self.read(
                 "SELECT ti.user_id AS user_id, ti.time AS time"
                 f" FROM {db}.temporal_inputs AS ti"
                 f" JOIN (VALUES {values}) AS fp"
                 f" ON {self._STALE_PREDICATE}"
-                f" LIMIT {self._ph}",
+                " LIMIT ?",
                 [*params, limit],
             )
             if any(
@@ -1373,7 +1351,6 @@ class CandidateStore:
         (:meth:`clock_now`)."""
         now = float(self.clock_now() if now is None else now)
         expires = now + float(lease_seconds)
-        ph = self._ph
         renewed = 0
         # one transaction per shard (each cell is an independent
         # conditional update, so no cross-shard transaction is needed):
@@ -1382,9 +1359,9 @@ class CandidateStore:
             with self._conn:
                 for user_id, t in db_cells:
                     cursor = self._conn.execute(
-                        f"UPDATE {db}.refresh_leases SET lease_expires_at = {ph}"
-                        f" WHERE user_id = {ph} AND time = {ph} AND worker_id = {ph}"
-                        f" AND lease_expires_at > {ph}",
+                        f"UPDATE {db}.refresh_leases SET lease_expires_at = ?"
+                        " WHERE user_id = ? AND time = ? AND worker_id = ?"
+                        " AND lease_expires_at > ?",
                         (expires, user_id, t, str(worker_id), now),
                     )
                     renewed += cursor.rowcount
@@ -1404,14 +1381,13 @@ class CandidateStore:
         recompute was upserted, or to hand an unprocessed cell back to
         the pool early).  Releasing a cell leased to another worker is a
         no-op.  Returns the number of leases released."""
-        ph = self._ph
         released = 0
         for db, db_cells in self._cells_by_db(cells).items():
             with self._conn:
                 for user_id, t in db_cells:
                     cursor = self._conn.execute(
                         f"DELETE FROM {db}.refresh_leases"
-                        f" WHERE user_id = {ph} AND time = {ph} AND worker_id = {ph}",
+                        " WHERE user_id = ? AND time = ? AND worker_id = ?",
                         (user_id, t, str(worker_id)),
                     )
                     released += cursor.rowcount
@@ -1434,7 +1410,7 @@ class CandidateStore:
             for db in self._backend.schemas():
                 cursor = self._conn.execute(
                     f"DELETE FROM {db}.refresh_leases"
-                    f" WHERE lease_expires_at <= {self._ph}",
+                    " WHERE lease_expires_at <= ?",
                     (now,),
                 )
                 pruned += cursor.rowcount
@@ -1444,7 +1420,7 @@ class CandidateStore:
         """Current lease table, ``(user_id, time, worker_id,
         lease_expires_at)`` ordered by (user, time) — monitoring and
         test introspection."""
-        rows = self._read(
+        rows = self.read(
             "SELECT user_id, time, worker_id, lease_expires_at"
             " FROM refresh_leases ORDER BY user_id, time"
         )
@@ -1495,10 +1471,9 @@ class CandidateStore:
         now = float(self.clock_now() if now is None else now)
         expires = now + float(ttl_seconds)
         node_id = str(node_id)
-        ph = self._ph
         self._begin_immediate()
         try:
-            rows = self._read(
+            rows = self.read(
                 "SELECT leader_id, epoch, lease_expires_at"
                 " FROM main.leader_lease WHERE id = 1"
             )
@@ -1508,7 +1483,7 @@ class CandidateStore:
                     "INSERT INTO main.leader_lease"
                     " (id, leader_id, epoch, acquired_at, renewed_at,"
                     " lease_expires_at)"
-                    f" VALUES (1, {ph}, 1, {ph}, {ph}, {ph})",
+                    " VALUES (1, ?, 1, ?, ?, ?)",
                     (node_id, now, now, expires),
                 )
                 epoch = 1
@@ -1519,7 +1494,7 @@ class CandidateStore:
                 epoch = int(rows[0]["epoch"])
                 self._conn.execute(
                     "UPDATE main.leader_lease"
-                    f" SET renewed_at = {ph}, lease_expires_at = {ph}"
+                    " SET renewed_at = ?, lease_expires_at = ?"
                     " WHERE id = 1",
                     (now, expires),
                 )
@@ -1527,8 +1502,8 @@ class CandidateStore:
                 epoch = int(rows[0]["epoch"]) + 1
                 self._conn.execute(
                     "UPDATE main.leader_lease"
-                    f" SET leader_id = {ph}, epoch = {ph}, acquired_at = {ph},"
-                    f" renewed_at = {ph}, lease_expires_at = {ph}"
+                    " SET leader_id = ?, epoch = ?, acquired_at = ?,"
+                    " renewed_at = ?, lease_expires_at = ?"
                     " WHERE id = 1",
                     (node_id, epoch, now, now, expires),
                 )
@@ -1558,9 +1533,9 @@ class CandidateStore:
         with self._conn:
             cursor = self._conn.execute(
                 "UPDATE main.leader_lease"
-                f" SET renewed_at = {self._ph}, lease_expires_at = {self._ph}"
-                f" WHERE id = 1 AND leader_id = {self._ph}"
-                f" AND epoch = {self._ph} AND lease_expires_at > {self._ph}",
+                " SET renewed_at = ?, lease_expires_at = ?"
+                " WHERE id = 1 AND leader_id = ?"
+                " AND epoch = ? AND lease_expires_at > ?",
                 (now, now + float(ttl_seconds), str(node_id), int(epoch), now),
             )
         return bool(cursor.rowcount)
@@ -1577,9 +1552,9 @@ class CandidateStore:
         now = float(self.clock_now() if now is None else now)
         with self._conn:
             cursor = self._conn.execute(
-                f"UPDATE main.leader_lease SET lease_expires_at = {self._ph}"
-                f" WHERE id = 1 AND leader_id = {self._ph}"
-                f" AND epoch = {self._ph} AND lease_expires_at > {self._ph}",
+                "UPDATE main.leader_lease SET lease_expires_at = ?"
+                " WHERE id = 1 AND leader_id = ?"
+                " AND epoch = ? AND lease_expires_at > ?",
                 (now, str(node_id), int(epoch), now),
             )
         return bool(cursor.rowcount)
@@ -1590,10 +1565,10 @@ class CandidateStore:
         """Whether ``(node_id, epoch)`` is the live seat right now —
         the fencing check run before every leadership-scoped write."""
         now = float(self.clock_now() if now is None else now)
-        rows = self._read(
+        rows = self.read(
             "SELECT 1 FROM main.leader_lease"
-            f" WHERE id = 1 AND leader_id = {self._ph}"
-            f" AND epoch = {self._ph} AND lease_expires_at > {self._ph}",
+            " WHERE id = 1 AND leader_id = ?"
+            " AND epoch = ? AND lease_expires_at > ?",
             (str(node_id), int(epoch), now),
         )
         return bool(rows)
@@ -1603,7 +1578,7 @@ class CandidateStore:
         or ``None`` when no node has ever campaigned.  ``lease_age`` is
         seconds since the last heartbeat, on the store clock."""
         now = float(self.clock_now() if now is None else now)
-        rows = self._read(
+        rows = self.read(
             "SELECT leader_id, epoch, acquired_at, renewed_at,"
             " lease_expires_at FROM main.leader_lease WHERE id = 1"
         )
@@ -1632,7 +1607,7 @@ class CandidateStore:
         with self._conn:
             self._conn.execute(
                 "INSERT INTO main.orchestrator_metrics (id, updated_at, payload)"
-                f" VALUES (1, {self._ph}, {self._ph})"
+                " VALUES (1, ?, ?)"
                 " ON CONFLICT (id) DO UPDATE SET"
                 " updated_at = excluded.updated_at,"
                 " payload = excluded.payload",
@@ -1642,7 +1617,7 @@ class CandidateStore:
     def orchestrator_metrics(self) -> dict | None:
         """Last published snapshot as ``{"updated_at": ts, "metrics":
         {...}}``, or ``None`` before any orchestrator checkpointed."""
-        rows = self._read(
+        rows = self.read(
             "SELECT updated_at, payload FROM main.orchestrator_metrics"
             " WHERE id = 1"
         )
@@ -1671,7 +1646,7 @@ class CandidateStore:
             else:
                 self._conn.execute(
                     "INSERT INTO main.refresh_budget (id, remaining)"
-                    f" VALUES (1, {self._ph})"
+                    " VALUES (1, ?)"
                     " ON CONFLICT (id) DO UPDATE SET remaining = excluded.remaining",
                     (int(remaining),),
                 )
@@ -1679,7 +1654,7 @@ class CandidateStore:
     def refresh_budget_remaining(self) -> int | None:
         """Cells the armed budget still allows, or ``None`` when no
         budget is armed (unlimited).  Never negative."""
-        rows = self._read("SELECT remaining FROM main.refresh_budget WHERE id = 1")
+        rows = self.read("SELECT remaining FROM main.refresh_budget WHERE id = 1")
         if not rows:
             return None
         return max(0, int(rows[0]["remaining"]))
@@ -1703,7 +1678,6 @@ class CandidateStore:
             return 0
         if any(ts is None for _, _, ts in entries):
             now = float(self.clock_now() if now is None else now)
-        ph = self._ph
         grouped: dict[str, list[tuple[str, str, float]]] = {}
         for user, question, ts in entries:
             grouped.setdefault(self._db_for(user), []).append(
@@ -1714,7 +1688,7 @@ class CandidateStore:
             with self._conn:
                 self._conn.executemany(
                     f"INSERT INTO {db}.access_log"
-                    f" (user_id, question, accessed_at) VALUES ({ph}, {ph}, {ph})",
+                    " (user_id, question, accessed_at) VALUES (?, ?, ?)",
                     rows,
                 )
             written += len(rows)
@@ -1739,7 +1713,7 @@ class CandidateStore:
         halflife = float(halflife_seconds)
         if halflife <= 0:
             raise StorageError("halflife_seconds must be > 0")
-        conn, ph = self._conn, self._ph
+        conn = self._conn
         merged: dict[str, float] = {}
         self._begin_immediate()
         try:
@@ -1761,7 +1735,7 @@ class CandidateStore:
                     scores[user] = scores.get(user, 0.0) + 0.5 ** (age / halflife)
                 conn.executemany(
                     f"INSERT INTO {db}.user_priority"
-                    f" (user_id, score, updated_at) VALUES ({ph}, {ph}, {ph})"
+                    " (user_id, score, updated_at) VALUES (?, ?, ?)"
                     " ON CONFLICT (user_id) DO UPDATE SET"
                     " score = excluded.score, updated_at = excluded.updated_at",
                     [(user, score, now) for user, score in scores.items()],
@@ -1781,7 +1755,6 @@ class CandidateStore:
         if not scores:
             return
         now = float(self.clock_now() if now is None else now)
-        ph = self._ph
         grouped: dict[str, list[tuple[str, float, float]]] = {}
         for user, score in scores.items():
             grouped.setdefault(self._db_for(str(user)), []).append(
@@ -1791,7 +1764,7 @@ class CandidateStore:
             with self._conn:
                 self._conn.executemany(
                     f"INSERT INTO {db}.user_priority"
-                    f" (user_id, score, updated_at) VALUES ({ph}, {ph}, {ph})"
+                    " (user_id, score, updated_at) VALUES (?, ?, ?)"
                     " ON CONFLICT (user_id) DO UPDATE SET"
                     " score = excluded.score, updated_at = excluded.updated_at",
                     rows,
@@ -1799,19 +1772,18 @@ class CandidateStore:
 
     def user_priorities(self) -> dict[str, float]:
         """Current ``{user_id: score}`` across all shards."""
-        rows = self._read("SELECT user_id, score FROM user_priority")
+        rows = self.read("SELECT user_id, score FROM user_priority")
         return {str(r["user_id"]): float(r["score"]) for r in rows}
 
     def escalate_cells(self, cells) -> None:
         """Mark cells as SLA-escalated: the claim scan orders them ahead
         of every score (``escalated DESC`` leads the ORDER BY), so a
         cell stale past its SLA drains first regardless of traffic."""
-        ph = self._ph
         for db, db_cells in self._cells_by_db(cells).items():
             with self._conn:
                 self._conn.executemany(
                     f"INSERT OR REPLACE INTO {db}.refresh_escalations"
-                    f" (user_id, time) VALUES ({ph}, {ph})",
+                    " (user_id, time) VALUES (?, ?)",
                     db_cells,
                 )
 
@@ -1819,7 +1791,6 @@ class CandidateStore:
         """Drop escalation marks — all of them (``cells=None``, e.g. at
         the top of an epoch before re-deriving the overdue set) or a
         specific list.  Returns the number of rows removed."""
-        ph = self._ph
         removed = 0
         if cells is None:
             for db in self._backend.schemas():
@@ -1834,7 +1805,7 @@ class CandidateStore:
                 for user_id, t in db_cells:
                     cursor = self._conn.execute(
                         f"DELETE FROM {db}.refresh_escalations"
-                        f" WHERE user_id = {ph} AND time = {ph}",
+                        " WHERE user_id = ? AND time = ?",
                         (user_id, t),
                     )
                     removed += cursor.rowcount
@@ -1909,7 +1880,7 @@ class CandidateStore:
         separately as ``unstamped_users`` instead of polluting the ages.
         """
         now = float(self.clock_now() if now is None else now)
-        rows = self._read(
+        rows = self.read(
             "SELECT user_id, MIN(refreshed_at) AS oldest"
             " FROM temporal_inputs GROUP BY user_id"
         )
@@ -1951,7 +1922,7 @@ class CandidateStore:
         Insertion-ordered (by rowid); the warm-start path feeds these to
         the beam as seed states.
         """
-        rows = self._read(
+        rows = self.read(
             "SELECT * FROM candidates WHERE user_id = ? AND time = ?"
             " ORDER BY id",
             (user_id, int(time)),
@@ -1967,12 +1938,12 @@ class CandidateStore:
         optionally restricted to one time point (the warm-start top-m
         selection ranks a single cell's stored candidates)."""
         if time is None:
-            rows = self._read(
+            rows = self.read(
                 "SELECT * FROM candidates WHERE user_id = ? ORDER BY time, id",
                 (user_id,),
             )
         else:
-            rows = self._read(
+            rows = self.read(
                 "SELECT * FROM candidates WHERE user_id = ? AND time = ?"
                 " ORDER BY id",
                 (user_id, int(time)),
@@ -2005,7 +1976,7 @@ class CandidateStore:
 
     def load_session_specs(self) -> list[tuple[str, np.ndarray, list[str] | None]]:
         """Persisted session specs: ``(user_id, profile, constraint_texts)``."""
-        rows = self._read(
+        rows = self.read(
             "SELECT user_id, profile, constraints FROM user_sessions"
             " ORDER BY user_id"
         )
@@ -2052,12 +2023,12 @@ class CandidateStore:
         """
         digest = hashlib.sha256()
         feature_cols = ", ".join(self.schema.names)
-        for row in self._read(
+        for row in self.read(
             f"SELECT user_id, time, {feature_cols}, model_fp"
             " FROM temporal_inputs ORDER BY user_id, time"
         ):
             digest.update(repr(tuple(row)).encode())
-        for row in self._read(
+        for row in self.read(
             f"SELECT user_id, time, {feature_cols}, diff, gap, p, model_fp,"
             " plan_rank, plan_quality, plan_min_dist"
             " FROM candidates ORDER BY user_id, time, id"
@@ -2067,7 +2038,7 @@ class CandidateStore:
             rank = values[-3]
             if rank is not None and int(rank) >= 0:
                 digest.update(repr(values[-3:]).encode())
-        for row in self._read(
+        for row in self.read(
             "SELECT user_id, profile, constraints FROM user_sessions"
             " ORDER BY user_id"
         ):
@@ -2116,10 +2087,10 @@ class _CellWrite:
             )
 
     def apply(self, store, db) -> int:
-        conn, ph = store._conn, store._ph
+        conn = store._conn
         conn.execute(
             f"DELETE FROM {db}.candidates"
-            f" WHERE user_id = {ph} AND time = {ph}",
+            " WHERE user_id = ? AND time = ?",
             (self.user_id, self.time),
         )
         conn.executemany(
@@ -2127,9 +2098,9 @@ class _CellWrite:
             self.rows,
         )
         cursor = conn.execute(
-            f"UPDATE {db}.temporal_inputs SET model_fp = {ph},"
-            f" refreshed_at = {ph}"
-            f" WHERE user_id = {ph} AND time = {ph}",
+            f"UPDATE {db}.temporal_inputs SET model_fp = ?,"
+            " refreshed_at = ?"
+            " WHERE user_id = ? AND time = ?",
             (self.ledger_fp, self.stamp, self.user_id, self.time),
         )
         if cursor.rowcount == 0:
@@ -2160,13 +2131,13 @@ class _SessionWrite:
         self.cand_rows = store._candidate_rows(user_id, candidates, fingerprints)
 
     def apply(self, store, db) -> int:
-        conn, ph = store._conn, store._ph
+        conn = store._conn
         conn.execute(
-            f"DELETE FROM {db}.candidates WHERE user_id = {ph}",
+            f"DELETE FROM {db}.candidates WHERE user_id = ?",
             (self.user_id,),
         )
         conn.execute(
-            f"DELETE FROM {db}.temporal_inputs WHERE user_id = {ph}",
+            f"DELETE FROM {db}.temporal_inputs WHERE user_id = ?",
             (self.user_id,),
         )
         conn.executemany(
@@ -2189,10 +2160,10 @@ class _SpecWrite:
         self.row = store._spec_row(*spec)
 
     def apply(self, store, db) -> int:
-        conn, ph = store._conn, store._ph
+        conn = store._conn
         conn.execute(
             f"INSERT OR REPLACE INTO {db}.user_sessions"
-            f" (user_id, profile, constraints) VALUES ({ph}, {ph}, {ph})",
+            " (user_id, profile, constraints) VALUES (?, ?, ?)",
             self.row,
         )
         return 0

@@ -10,13 +10,9 @@ entry rendered under an older fingerprint simply fails validation on
 its next lookup.  That validation read is one indexed primary-key scan
 (``temporal_inputs`` is ``PRIMARY KEY (user_id, time)``) versus the
 ~15–25 queries of a full bundle render — the serving tier's whole
-speedup lives in that ratio.
-
-Entries can also be dropped eagerly (:meth:`invalidate_cells`) when the
-refresh orchestrator reports which cells it rewrote, turning the first
-post-refresh request into a clean miss instead of a validate-then-miss.
-Eager invalidation is an optimisation only — correctness never depends
-on it, because every hit re-validates.
+speedup lives in that ratio.  Nothing evicts entries eagerly when a
+refresh lands: every hit re-validates, so a refreshed user's first
+request is a validate-then-miss.
 
 Thread-safe; the server's executor threads share one instance.
 """
@@ -25,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable
+from typing import Any
 
 __all__ = ["CacheStats", "InsightCache"]
 
@@ -36,14 +32,13 @@ CacheKey = tuple
 class CacheStats:
     """Monotonic counters (reads under the cache lock, so consistent)."""
 
-    __slots__ = ("hits", "misses", "stale", "evicted", "invalidated")
+    __slots__ = ("hits", "misses", "stale", "evicted")
 
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self.stale = 0
         self.evicted = 0
-        self.invalidated = 0
 
     def snapshot(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -112,42 +107,6 @@ class InsightCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.stats.evicted += 1
-
-    # -------------------------------------------------- eager invalidation
-
-    def invalidate_user(self, user_id: Hashable) -> int:
-        """Drop every entry of one user; returns the count dropped.
-
-        User ids are compared as strings: cache keys carry the user id
-        parsed from query params (always ``str``), while refresh-side
-        callers report ids in whatever type their source used (CSV
-        feeds and orchestrator reports produce ints) — an exact-type
-        comparison silently invalidated nothing for those callers.
-        """
-        user = str(user_id)
-        with self._lock:
-            doomed = [k for k in self._entries if str(k[0]) == user]
-            for key in doomed:
-                del self._entries[key]
-            self.stats.invalidated += len(doomed)
-            return len(doomed)
-
-    def invalidate_cells(self, cells) -> int:
-        """Drop the entries of every user appearing in ``cells``.
-
-        ``cells`` is an iterable of ``(user_id, time)`` — the refresh
-        orchestrator's per-epoch recompute report.  Invalidation is
-        per-user (not per-time) because a rendered bundle mixes all of
-        the user's time points, and user ids compare as strings for the
-        same reason as :meth:`invalidate_user`.
-        """
-        users = {str(user) for user, _time in cells}
-        with self._lock:
-            doomed = [k for k in self._entries if str(k[0]) in users]
-            for key in doomed:
-                del self._entries[key]
-            self.stats.invalidated += len(doomed)
-            return len(doomed)
 
     def clear(self) -> None:
         with self._lock:

@@ -4,15 +4,15 @@ Writers on different shards already never wait on each other (a
 router transaction locks only the shard files it writes); this module
 gives *readers* the same property: a bounded pool of read-only
 connections per shard, opened through the backend's
-:meth:`~repro.db.backends.StoreBackend.replica_connection` dialect seam
+:meth:`~repro.db.backends.StoreBackend.replica_connection`
 (``mode=ro`` + ``PRAGMA query_only``), so N concurrent readers never
 touch — let alone contend with — the router connection.
 
 :class:`ReplicaStoreView` is the duck-typed read-only store facade a
 checked-out replica is wrapped in: it exposes exactly the surface the
 canned queries and :class:`~repro.core.insights.InsightEngine` consume
-(``read`` / ``placeholder`` / ``schema`` / ``times_for`` /
-``cell_fingerprints`` / ``temporal_input`` / ``row_to_vector``), so the
+(``read`` / ``schema`` / ``times_for`` / ``cell_fingerprints`` /
+``temporal_input`` / ``row_to_vector``), so the
 serving tier runs the *same* query and rendering code as the direct
 store path — answer identity is by construction, not by parallel
 implementation.
@@ -37,6 +37,7 @@ from queue import LifoQueue
 
 import numpy as np
 
+from repro.db.prepared import PreparedQueries, prepared_for
 from repro.db.store import CandidateStore
 from repro.exceptions import StorageError
 
@@ -54,19 +55,15 @@ class ReplicaStoreView:
     live in exactly one shard.
     """
 
-    def __init__(self, conn: sqlite3.Connection, schema, placeholder: str):
+    def __init__(self, conn: sqlite3.Connection, schema):
         self._conn = conn
         self.schema = schema
-        self.placeholder = placeholder
 
     def read(self, query: str, params=()) -> list[sqlite3.Row]:
         try:
             return self._conn.execute(query, params).fetchall()
         except sqlite3.Error as exc:
             raise StorageError(f"SQL error: {exc}") from exc
-
-    # internal alias kept in lockstep with CandidateStore's
-    _read = read
 
     def times_for(self, user_id: str) -> list[int]:
         return self._prepared().times_for(self.read, user_id)
@@ -85,12 +82,8 @@ class ReplicaStoreView:
     def row_to_vector(self, row: sqlite3.Row) -> np.ndarray:
         return np.array([row[name] for name in self.schema.names], dtype=float)
 
-    def _prepared(self):
-        # local import: repro.db.queries imports the store module, and
-        # the prepared layer is dialect-keyed, so resolve lazily
-        from repro.db.prepared import prepared_for
-
-        return prepared_for(self.placeholder, self.schema.names)
+    def _prepared(self) -> PreparedQueries:
+        return prepared_for(self.schema.names)
 
 
 class _Replica:
@@ -212,11 +205,9 @@ class ReplicaPool:
                 # no openable replica for this topology (in-memory):
                 # serialise through the store's router connection
                 with self._router_lock:
-                    yield ReplicaStoreView(
-                        store._conn, store.schema, store.placeholder
-                    )
+                    yield ReplicaStoreView(store._conn, store.schema)
                 return
-            yield ReplicaStoreView(replica.conn, store.schema, store.placeholder)
+            yield ReplicaStoreView(replica.conn, store.schema)
         finally:
             queue.put(replica)
 

@@ -142,16 +142,13 @@ def bundle_freshness_seconds(store, user: str, read=None) -> float | None:
     user's cells, or ``None`` when no cell carries a stamp yet (rows
     predating the priority subsystem, or never refreshed).
 
-    Computed in one query against the *store's* clock (``clock_sql() -
+    Computed in one query against the *store's* clock (``CLOCK_SQL -
     refreshed_at`` inside the query): the stamp was written by the store
     clock, so subtracting host ``time.time()`` would fold host↔store
     clock skew into the reported age.  ``read`` defaults to
     ``store.read``; the server passes its replica view's.
     """
-    prepared = prepared_for(store.placeholder, store.schema.names)
-    return prepared.oldest_age(
-        read or store.read, user, store.backend.clock_sql()
-    )
+    return prepared_for(store.schema.names).oldest_age(read or store.read, user)
 
 
 class ServeError(ReproError):
@@ -475,9 +472,7 @@ class InsightServer:
                 replica.conn.close()
             self._fast_replicas.clear()
             self._fast_built_for = backend
-            self._fast_ledger_sql = prepared_for(
-                self.store.placeholder, self.store.schema.names
-            )._sql["ledger"]
+            self._fast_ledger_sql = prepared_for(self.store.schema.names)._sql["ledger"]
         schema = backend.schema_for(user)
         replica = self._fast_replicas.get(schema)
         if replica is not None and self._inode(replica.path) != replica.inode:

@@ -54,7 +54,7 @@ def reference_recompute(system, *, warm_start: bool = False):
         for user_id, profile, texts in store.load_session_specs()
     }
     seeds = {
-        cell: system._warm_vectors(*cell) if warm_start else None
+        cell: system.store.cell_vectors(*cell) if warm_start else None
         for cell in cells
     }
     rows = []
@@ -63,11 +63,7 @@ def reference_recompute(system, *, warm_start: bool = False):
         profile, texts = specs[user_id]
         trajectory = system.update_function.trajectory(profile, system.config.T)
         warm = seeds[(user_id, t)]
-        generator = system._cell_generator(
-            t,
-            system._join_constraints(texts),
-            warm=warm is not None and warm.size > 0,
-        )
+        generator = system._cell_generator(t, system._join_constraints(texts))
         found = generator.generate(trajectory[t], time=t, warm_start=warm)
         stats.append(generator.last_stats_)
         rows.append((user_id, t, found, trajectory[t]))

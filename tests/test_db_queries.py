@@ -193,42 +193,32 @@ class TestQ6TurningPoint:
 
 class TestPublicReadSurface:
     """The store's read seam is public API (the serving tier builds on
-    it); the legacy underscore aliases must stay in lockstep."""
+    it)."""
 
     def test_read_and_placeholder(self, populated):
-        ph = populated.placeholder
         rows = populated.read(
-            f"SELECT COUNT(*) AS n FROM candidates WHERE user_id = {ph}",
+            "SELECT COUNT(*) AS n FROM candidates WHERE user_id = ?",
             ("u",),
         )
         assert rows[0]["n"] == 4
-
-    def test_private_aliases_kept(self, populated):
-        assert populated._ph == populated.placeholder
-        assert (
-            populated._read("SELECT 21 * 2 AS x")[0]["x"]
-            == populated.read("SELECT 21 * 2 AS x")[0]["x"]
-        )
 
 
 class TestPreparedLayer:
     def test_prepared_for_memoised_per_dialect_and_schema(self, schema):
         from repro.db import prepared_for
 
-        a = prepared_for("?", schema.names)
-        b = prepared_for("?", list(schema.names))
-        assert a is b  # same dialect + features -> one compiled set
-        c = prepared_for("%s", schema.names)
+        a = prepared_for(schema.names)
+        b = prepared_for(list(schema.names))
+        assert a is b  # same features -> one compiled set
+        c = prepared_for(schema.names[:-1])
         assert c is not a
-        assert c.placeholder == "%s"
+        assert c.features == tuple(schema.names[:-1])
 
     def test_prepared_helper_resolves_store_dialect(self, populated):
         from repro.db import prepared_for
         from repro.db.queries import prepared
 
-        assert prepared(populated) is prepared_for(
-            populated.placeholder, populated.schema.names
-        )
+        assert prepared(populated) is prepared_for(populated.schema.names)
 
     def test_prepared_answers_match_module_functions(self, populated):
         from repro.db.queries import prepared

@@ -627,9 +627,9 @@ def test_choice_over_a_population_draws_integers():
 
 
 class TestClaimRenewals:
-    """A claim's leases are renewed in one call before the compute, one
-    per lock-stepped round (the heartbeat) and one after it — not once
-    per cell on each side of the compute."""
+    """A claim's leases are renewed in one call before the compute and
+    one after it, with at most one heartbeat call per lock-stepped round
+    in between — not once per cell on each side of the compute."""
 
     def _drain(self, schema, history, drift_data, db, monkeypatch, before=None):
         system = build_system(schema, db, "sharded")

@@ -346,8 +346,7 @@ class TestOrchestratedRun:
 
     def test_iterator_feed_has_no_checkpoint(self, schema, history, tmp_path):
         """Non-resumable feeds still orchestrate (the checkpoint simply
-        carries no cursor), and ``checkpoint_digest=False`` skips the
-        O(store-size) digest without touching anything else."""
+        carries no cursor), and the epoch's store digest is recorded."""
         work = tmp_path / "orch"
         work.mkdir()
         pkl, db = build_state(schema, history, work)
@@ -361,15 +360,15 @@ class TestOrchestratedRun:
             n_workers=1,
             cadence=0.0,
             warm_start=False,
-            checkpoint_digest=False,
         )
         epochs = orchestrator.run(max_polls=2, poll_interval=0.0)
         assert len(epochs) == 1
         assert epochs[0].report.feed_offset is None
-        assert epochs[0].report.store_digest is None
+        digest = system.store.contents_digest()
+        assert epochs[0].report.store_digest == digest
         saved = load_system(pkl).saved_extra
         assert "feed_offset" not in saved
-        assert "store_digest" not in saved["orchestrator"]
+        assert saved["orchestrator"]["store_digest"] == digest
         assert system.store.stale_cells(system.model_fingerprints) == []
         system.store.close()
 

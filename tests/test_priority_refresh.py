@@ -67,13 +67,12 @@ def ledger_order(users=USERS, times=TIMES):
 def mark_refreshed(store, worker, cells):
     """What a drain does to a claimed cell: stamp the fresh fingerprint
     (so it leaves the stale set) and release the lease."""
-    ph = store.placeholder
     for user, t in cells:
         conn, prefix = store.backend.conn, store._db_for(user)
         with conn:
             conn.execute(
-                f"UPDATE {prefix}.temporal_inputs SET model_fp = {ph}"
-                f" WHERE user_id = {ph} AND time = {ph}",
+                f"UPDATE {prefix}.temporal_inputs SET model_fp = ?"
+                " WHERE user_id = ? AND time = ?",
                 (FRESH[t], user, t),
             )
     store.release_cells(worker, cells)

@@ -105,47 +105,6 @@ class TestInsightCache:
         assert cache.get("k0", self.FPS) == "b0"
         assert cache.get("k1", self.FPS) is None
 
-    def test_invalidate_user_scopes_to_that_user(self):
-        cache = InsightCache(8)
-        cache.put(("u1", "bundle"), self.FPS, "b1")
-        cache.put(("u2", "bundle"), self.FPS, "b2")
-        cache.invalidate_user("u1")
-        assert cache.get(("u1", "bundle"), self.FPS) is None
-        assert cache.get(("u2", "bundle"), self.FPS) == "b2"
-
-    def test_invalidate_cells(self):
-        cache = InsightCache(8)
-        cache.put(("u1", "bundle"), self.FPS, "b1")
-        cache.put(("u2", "q1"), self.FPS, "b2")
-        cache.put(("u3", "q2"), self.FPS, "b3")
-        cache.invalidate_cells([("u1", 0), ("u2", 3)])
-        assert cache.get(("u1", "bundle"), self.FPS) is None
-        assert cache.get(("u2", "q1"), self.FPS) is None
-        assert cache.get(("u3", "q2"), self.FPS) == "b3"
-
-    def test_invalidate_user_int_id_evicts_string_keys(self):
-        """Regression: cache keys carry user ids parsed from query
-        params (strings); orchestrator reports may carry ints.  The
-        former exact-type comparison made int-id invalidation a silent
-        no-op."""
-        cache = InsightCache(8)
-        cache.put(("17", "bundle"), self.FPS, "b1")
-        cache.put(("18", "bundle"), self.FPS, "b2")
-        assert cache.invalidate_user(17) == 1
-        assert cache.get(("17", "bundle"), self.FPS) is None
-        assert cache.get(("18", "bundle"), self.FPS) == "b2"
-        assert cache.stats.invalidated == 1
-
-    def test_invalidate_cells_int_ids_evict_string_keys(self):
-        cache = InsightCache(8)
-        cache.put(("41", "bundle"), self.FPS, "b1")
-        cache.put(("41", "q4"), self.FPS, "b2")
-        cache.put(("42", "bundle"), self.FPS, "b3")
-        assert cache.invalidate_cells([(41, 0), (41, 2)]) == 2
-        assert cache.get(("41", "bundle"), self.FPS) is None
-        assert cache.get(("41", "q4"), self.FPS) is None
-        assert cache.get(("42", "bundle"), self.FPS) == "b3"
-
     def test_fingerprint_vector_sorted(self):
         vector = InsightCache.fingerprint_vector({3: "c", 1: "a", 2: "b"})
         assert vector == ((1, "a"), (2, "b"), (3, "c"))

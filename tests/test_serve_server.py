@@ -3,8 +3,7 @@
 The load-bearing assertion is *identity*: the HTTP bundle must be
 byte-for-byte what the direct InsightEngine-over-the-store path
 serializes to, cache on or off, cold or warm — the serving tier is an
-optimisation, never a different answer.  Also covers the orchestrator's
-``on_cells_refreshed`` hook feeding the cache's eager invalidation.
+optimisation, never a different answer.
 """
 
 import http.client
@@ -344,7 +343,7 @@ class TestAccessLog:
             __import__("time").sleep(0.05)
         assert server.accesses_recorded >= 32
         assert server.accesses_dropped == 0
-        rows = store._read("SELECT user_id, question FROM access_log")
+        rows = store.read("SELECT user_id, question FROM access_log")
         assert len(rows) >= 32
         assert {(r["user_id"], r["question"]) for r in rows} == {("u1", "bundle")}
 
@@ -357,7 +356,7 @@ class TestAccessLog:
             for _ in range(40):
                 assert http_get(server.port, "/v1/q/q1?user=u1")[0] == 200
             assert server.accesses_recorded == 0
-            assert store._read("SELECT COUNT(*) AS n FROM access_log")[0]["n"] == 0
+            assert store.read("SELECT COUNT(*) AS n FROM access_log")[0]["n"] == 0
         finally:
             server.stop_background()
             store.close()
@@ -373,7 +372,7 @@ class TestAccessLog:
         finally:
             server.stop_background()
         assert server.accesses_recorded == 5
-        assert store._read("SELECT COUNT(*) AS n FROM access_log")[0]["n"] == 5
+        assert store.read("SELECT COUNT(*) AS n FROM access_log")[0]["n"] == 5
         store.close()
 
 
@@ -409,91 +408,6 @@ class TestCacheModes:
         finally:
             server.stop_background()
             store.close()
-
-
-class TestOrchestratorCacheHook:
-    def test_epoch_reports_recomputed_cells_to_the_hook(
-        self, schema, tmp_path
-    ):
-        """A drained epoch fires ``on_cells_refreshed`` with exactly the
-        rewritten cells, and wiring it to the cache's eager invalidation
-        drops the touched users' entries."""
-        from repro.constraints import lending_domain_constraints
-        from repro.core import (
-            AdminConfig,
-            JustInTime,
-            RefreshOrchestrator,
-            save_system,
-        )
-        from repro.data import (
-            IteratorFeed,
-            LendingGenerator,
-            TemporalDataset,
-            john_profile,
-            make_lending_dataset,
-        )
-        from repro.serve import InsightCache
-        from repro.temporal import PerPeriodStrategy, lending_update_function
-
-        history = make_lending_dataset(n_per_year=60, random_state=1)
-        system = JustInTime(
-            schema,
-            lending_update_function(schema),
-            AdminConfig(
-                T=2, strategy=PerPeriodStrategy(), k=4, max_iter=8,
-                random_state=0,
-            ),
-            domain_constraints=lending_domain_constraints(schema),
-            store_path=tmp_path / "cands.db",
-            store_backend="sqlite",
-        )
-        system.fit(history)
-        base = schema.vector(john_profile())
-        users = [("h1", base), ("h2", schema.clip(base * 1.1))]
-        system.create_sessions(users)
-        save_system(system, tmp_path / "sys.pkl")
-
-        cache = InsightCache(16)
-        fps = ((0, "x"),)
-        for user, _ in users:
-            cache.put((user, "bundle", ()), fps, "cached")
-        cache.put(("bystander", "bundle", ()), fps, "cached")
-        seen = []
-
-        def hook(cells):
-            seen.append(tuple(cells))
-            cache.invalidate_cells(cells)
-
-        start = float(np.floor(history.span[0]))
-        generator = LendingGenerator(random_state=99)
-        X = generator.sample_profiles(40) * 3.0
-        years = np.full(40, start + 1 + 0.5)
-        batch = TemporalDataset(X, generator.label(X, years), years, schema)
-        orchestrator = RefreshOrchestrator(
-            system,
-            IteratorFeed([batch]),
-            system_path=tmp_path / "sys.pkl",
-            db_path=tmp_path / "cands.db",
-            n_workers=1,
-            cadence=0.0,
-            warm_start=False,
-            checkpoint_digest=False,
-            on_cells_refreshed=hook,
-        )
-        epochs = orchestrator.run(max_polls=2, poll_interval=0.0)
-        assert len(epochs) == 1
-        assert len(seen) == 1
-        touched_users = {user for user, _time in seen[0]}
-        assert touched_users == {"h1", "h2"}
-        assert len(seen[0]) == epochs[0].report.cells_recomputed
-        # the hook's invalidation dropped exactly the touched users —
-        # and really dropped them (invalidated counts the evictions, so
-        # a type-mismatch no-op would read 0 here)
-        assert cache.stats.invalidated == 2
-        assert cache.get(("h1", "bundle", ()), fps) is None
-        assert cache.get(("h2", "bundle", ()), fps) is None
-        assert cache.get(("bystander", "bundle", ()), fps) == "cached"
-        system.store.close()
 
 
 def _read_one_response(sock):
@@ -620,7 +534,7 @@ class TestAccessCounterConsistency:
         assert failures == []
         total = per_thread * n_threads
         assert server.accesses_recorded + server.accesses_dropped == total
-        logged = store._read("SELECT COUNT(*) AS n FROM access_log")[0]["n"]
+        logged = store.read("SELECT COUNT(*) AS n FROM access_log")[0]["n"]
         assert logged == server.accesses_recorded
         store.close()
 

@@ -9,6 +9,7 @@ final store contents are byte-identical to a single-process
 import numpy as np
 import pytest
 
+import repro.core.worker as worker_module
 from repro.constraints import lending_domain_constraints
 from repro.core import (
     AdminConfig,
@@ -114,12 +115,10 @@ class TestDrain:
         self, schema, history, drift_data, tmp_path
     ):
         """Warm seeds come from the same stored rows either way, so the
-        warm paths agree too (refresh and drain rank/seed identically)."""
-        inline = build_populated(schema, history, tmp_path / "a.db", "sqlite",
-                                 warm_top_m=2, warm_patience=1)
+        warm paths agree too (refresh and drain seed identically)."""
+        inline = build_populated(schema, history, tmp_path / "a.db", "sqlite")
         inline.refresh(drift_data, warm_start=True)
-        drained = build_populated(schema, history, tmp_path / "b.db", "sqlite",
-                                  warm_top_m=2, warm_patience=1)
+        drained = build_populated(schema, history, tmp_path / "b.db", "sqlite")
         drained.refit(drift_data)
         drain_stale_cells(drained, warm_start=True)
         assert (
@@ -145,6 +144,34 @@ class TestDrain:
 
         loaded = load_system(pkl, store_path=db)
         assert (loaded.config.engine, loaded.config.n_jobs) == ("batch", 2)
+        report = drain_stale_cells(loaded, warm_start=False)
+        assert len(report.cells) == N_USERS
+        assert loaded.store.contents_digest() == expected
+        loaded.store.close()
+
+    def test_checkpoint_with_warm_tuning_and_extra_loads_and_drains(
+        self, schema, history, drift_data, tmp_path
+    ):
+        """Checkpoints written while ``AdminConfig`` still had
+        ``warm_top_m``, ``warm_patience`` and ``extra`` pickle all three;
+        such a system still loads, drains, and matches the per-cell
+        reference."""
+        expected = reference_digest(
+            schema, history, drift_data, tmp_path / "ref.db", "sqlite"
+        )
+        db, pkl = tmp_path / "old.db", tmp_path / "old.pkl"
+        system = build_populated(schema, history, db, "sqlite")
+        system.refit(drift_data)
+        system.config.warm_top_m = 2
+        system.config.warm_patience = 1
+        system.config.extra = {"note": "saved before the fields went"}
+        save_system(system, pkl)
+        system.store.close()
+
+        loaded = load_system(pkl, store_path=db)
+        config = loaded.config
+        assert (config.warm_top_m, config.warm_patience) == (2, 1)
+        assert config.extra == {"note": "saved before the fields went"}
         report = drain_stale_cells(loaded, warm_start=False)
         assert len(report.cells) == N_USERS
         assert loaded.store.contents_digest() == expected
@@ -215,6 +242,45 @@ class TestDrain:
             == N_USERS - 2
         )
 
+    def test_fast_compute_renews_only_before_and_after(
+        self, schema, history, drift_data, tmp_path, monkeypatch
+    ):
+        """The per-round heartbeat renews a claim's leases only once a
+        quarter of the lease has passed since their last renewal: a
+        one-claim drain whose compute takes far less than that makes
+        just the renewal before the compute and the one after it."""
+        system = build_populated(schema, history, tmp_path / "a.db", "sqlite")
+        system.refit(drift_data)
+        stale = system.store.stale_cells(system.model_fingerprints)
+        store = system.store
+        calls = []
+        real_renew = store.renew_leases
+
+        def renew_leases(worker_id, cells, **kwargs):
+            calls.append(len(cells))
+            return real_renew(worker_id, cells, **kwargs)
+
+        rounds = []
+        real_fused = worker_module.generate_fused
+
+        def counting_fused(cells, **kwargs):
+            outcome, report = real_fused(cells, **kwargs)
+            rounds.append(report.rounds)
+            return outcome, report
+
+        monkeypatch.setattr(store, "renew_leases", renew_leases)
+        monkeypatch.setattr(worker_module, "generate_fused", counting_fused)
+        report = drain_stale_cells(
+            system, claim_batch=len(stale), lease_seconds=3600.0,
+            warm_start=False,
+        )
+        monkeypatch.undo()
+        assert len(rounds) == 1 and rounds[0] > 1  # one claim, many rounds
+        assert calls == [len(stale), len(stale)]
+        assert sorted(report.cells) == sorted(stale)
+        assert report.lost_leases == 0
+        system.store.close()
+
 
 class TestWorkerPool:
     @pytest.mark.parametrize("backend", ["sqlite", "sharded"])
@@ -282,58 +348,6 @@ class TestWorkerPool:
     def test_pool_rejects_bad_worker_count(self, tmp_path):
         with pytest.raises(StorageError, match="n_workers"):
             run_worker_pool(tmp_path / "x.pkl", tmp_path / "x.db", n_workers=0)
-
-
-class TestWarmTuning:
-    def test_warm_top_m_limits_seeds(self, schema, history, tmp_path):
-        system = build_populated(
-            schema, history, tmp_path / "a.db", "sqlite", warm_top_m=2, k=5
-        )
-        uid = "user-00"
-        stored = system.store.cell_vectors(uid, 0)
-        assert stored.shape[0] > 2  # tuning has something to trim
-        seeds = system._warm_vectors(uid, 0)
-        assert seeds.shape == (2, len(schema))
-        # the seeds are the objective-best stored candidates
-        from repro.core import get_objective
-
-        candidates = system.store.load_candidates(uid, time=0)
-        objective = get_objective(system.config.objective)
-        best = sorted(candidates, key=lambda c: objective.key(c.metrics))[:2]
-        assert np.array_equal(seeds, np.vstack([c.x for c in best]))
-
-    def test_warm_top_m_refresh_still_valid(
-        self, schema, history, drift_data, tmp_path
-    ):
-        system = build_populated(
-            schema,
-            history,
-            tmp_path / "a.db",
-            "sqlite",
-            warm_top_m=1,
-            warm_patience=1,
-        )
-        report = system.refresh(drift_data)  # warm on by default
-        assert report.warm_start
-        for uid, _, _ in make_users(schema):
-            session = system.get_session(uid)
-            for c in session.candidates:
-                if c.time != DRIFT_T:
-                    continue
-                fm = system.future_models[c.time]
-                assert fm.decides_positive(c.x.reshape(1, -1))[0]
-                assert session.constraints.is_valid(
-                    c.x,
-                    session.trajectory[c.time],
-                    confidence=c.confidence,
-                    time=c.time,
-                )
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="warm_top_m"):
-            AdminConfig(warm_top_m=0)
-        with pytest.raises(ValueError, match="warm_patience"):
-            AdminConfig(warm_patience=0)
 
 
 class TestWorkersCli:
