@@ -228,8 +228,7 @@ def make_drift(system, n_new: int) -> TemporalDataset:
 def live_refresh_gate(system, users, feature: str, n_readers: int) -> int:
     """Gate 4: hammer ``?plans=3`` during a refresh epoch; count bodies
     matching neither the pre- nor the post-refresh expected response."""
-    server = InsightServer(system.store, system.time_values,
-                           replicas_per_schema=max(2, n_readers // 2))
+    server = InsightServer(system.store, system.time_values)
     server.start_background()
     try:
         before = {u: direct_bundle(system, u, feature, plans=3) for u in users}
@@ -377,8 +376,7 @@ def main() -> None:
                           n_users=n_users, n_per_year=n_per_year)
     users = [f"user-{i:03d}" for i in range(n_users)]
     feature = default_feature(system.schema)
-    server = InsightServer(system.store, system.time_values,
-                           replicas_per_schema=max(2, n_readers // 2))
+    server = InsightServer(system.store, system.time_values)
     server.start_background()
     assert_wire_identity(server.port, system, users, feature)
     server.stop_background()

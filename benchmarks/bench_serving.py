@@ -285,8 +285,7 @@ def main() -> None:
 
     # ---- identity (cold + warm cache), before any timing ----------------
     server = InsightServer(system.store, system.time_values,
-                           cache_size=4 * n_users,
-                           replicas_per_schema=max(2, n_readers // 4))
+                           cache_size=4 * n_users)
     server.start_background()
     assert_identity(server.port, system, users, feature)
     print(f"verified: {n_users} HTTP bundles byte-identical to direct SQL"
@@ -304,7 +303,6 @@ def main() -> None:
     # ---- baseline: same server, cache disabled (per-request direct SQL) -
     baseline_server = InsightServer(
         system.store, system.time_values, cache_enabled=False,
-        replicas_per_schema=max(2, n_readers // 4),
     )
     baseline_server.start_background()
     base_lat, base_wall = load_generate(
@@ -316,8 +314,7 @@ def main() -> None:
 
     # ---- live refresh: readers on, epoch draining in the main thread ---
     refresh_server = InsightServer(system.store, system.time_values,
-                                   cache_size=4 * n_users,
-                                   replicas_per_schema=max(2, n_readers // 4))
+                                   cache_size=4 * n_users)
     refresh_server.start_background()
     before = {u: direct_bundle(system, u, feature) for u in users}
     assert_identity(refresh_server.port, system, users, feature)

@@ -611,12 +611,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="max resident rendered-insight cache entries",
     )
     serve.add_argument(
-        "--replicas",
-        type=int,
-        default=4,
-        help="read-only replica connections per shard",
-    )
-    serve.add_argument(
         "--no-cache",
         action="store_true",
         help="render every request from SQL (baseline mode)",
@@ -1235,7 +1229,6 @@ def run_serve(args, out: IO[str] | None = None) -> int:
         port=args.port,
         cache_size=args.cache_size,
         cache_enabled=not args.no_cache,
-        replicas_per_schema=args.replicas,
         access_log=not args.no_access_log,
     )
 
@@ -1243,8 +1236,7 @@ def run_serve(args, out: IO[str] | None = None) -> int:
         await server.start()
         out.write(
             f"serving insights on http://{server.host}:{server.port}"
-            f" (cache={'off' if args.no_cache else args.cache_size},"
-            f" replicas/shard={args.replicas})\n"
+            f" (cache={'off' if args.no_cache else args.cache_size})\n"
         )
         out.flush()
         try:

@@ -503,6 +503,14 @@ class RefreshOrchestrator:
         self._candidates_written += pool.candidates_written
         self._lost_leases += sum(w.lost_leases for w in pool.workers)
         self._skipped_cells += len(pool.skipped_cells)
+        digest = self._close_epoch()
+        if self.fault_hook is not None:
+            self.fault_hook("epoch-complete")
+        return pool, digest
+
+    def _close_epoch(self) -> str:
+        """Count a drained epoch and checkpoint ``'idle'`` with the
+        store's digest, which it returns."""
         # fold the drain's outcome into the durable budget/SLA state
         # *before* the idle checkpoint, so the checkpointed carry-over
         # and stale-since map always describe the post-drain store
@@ -521,9 +529,7 @@ class RefreshOrchestrator:
         digest = self.system.store.contents_digest()
         self._epochs_completed += 1
         self._checkpoint("idle", digest=digest)
-        if self.fault_hook is not None:
-            self.fault_hook("epoch-complete")
-        return pool, digest
+        return digest
 
     def _epoch_prologue(self) -> tuple[dict, list]:
         """Arm the epoch's priority/budget/SLA state before the drain:
@@ -619,10 +625,11 @@ class RefreshOrchestrator:
         to drain now, **before** polling for new data.  Cells the dead
         pool completed are fresh and are not recomputed; cells still
         under a dead worker's lease come back when the lease expires.
-        A clean ledger with a ``'draining'`` phase on record means the
-        kill landed between the drain and its final checkpoint: only the
-        checkpoint is rewritten.  Returns the recovery pool's report, or
-        ``None`` if there was nothing to recover.
+        A clean ledger (or a spent budget, below) with a ``'draining'``
+        phase on record means the kill landed between the drain and its
+        final checkpoint: the epoch is closed without a pool.  Returns
+        the recovery pool's report, or ``None`` if there was nothing to
+        recover.
 
         Stale cells of users **without a resumable session spec** do not
         count: no pool can ever compute them (they surface as
@@ -632,31 +639,29 @@ class RefreshOrchestrator:
 
         A budgeted orchestrator's recovery drain runs against whatever
         the **durable budget row** still allows — the dead epoch's queue
-        position is preserved, never reset.  Only an orchestrator
-        configured *without* a budget clears a leftover row first
-        (restarting unbudgeted means unlimited).
+        position is preserved, never reset.  A row at 0 means the stale
+        cells were deferred by a spent budget, not interrupted, so there
+        is nothing to recover.  Only an orchestrator configured
+        *without* a budget clears a leftover row first (restarting
+        unbudgeted means unlimited).
         """
         self._recovered = True
+        store = self.system.store
         if self.budget is None:
-            self.system.store.set_refresh_budget(None)
+            store.set_refresh_budget(None)
         fingerprints = self.system.model_fingerprints
         state = dict(self.system.saved_extra.get("orchestrator") or {})
         resumable = {
             user_id
-            for user_id, _, texts in self.system.store.load_session_specs()
+            for user_id, _, texts in store.load_session_specs()
             if texts is not None
         }
-        recoverable = [
-            cell
-            for cell in self.system.store.stale_cells(fingerprints)
-            if cell[0] in resumable
-        ]
+        recoverable = store.refresh_budget_remaining() != 0 and any(
+            cell[0] in resumable for cell in store.stale_cells(fingerprints)
+        )
         if not recoverable:
             if state.get("phase") == "draining":
-                self._epochs_completed += 1
-                self._checkpoint(
-                    "idle", digest=self.system.store.contents_digest()
-                )
+                self._close_epoch()
             return None
         # the pre-drain checkpoint also guarantees the saved pickle
         # carries the current (refit) models before workers load it

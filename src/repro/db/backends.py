@@ -101,9 +101,8 @@ class StoreBackend:
         the topology has no separately-openable replica (in-memory
         databases are reachable only through their creating connection)
         and the pool must fall back to the router.
-        ``check_same_thread=False`` because the pool hands connections
-        to server executor threads (each connection is used by one
-        thread at a time).
+        ``check_same_thread=False`` because the pool, not sqlite3,
+        confines each connection to one thread at a time.
         """
         return None
 

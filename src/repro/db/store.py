@@ -329,6 +329,9 @@ class CandidateStore:
 
     def _create_tables(self) -> None:
         with self._conn:
+            # sqlite3 opens no implicit transaction for DDL: without an
+            # explicit BEGIN every statement below commits on its own
+            self._conn.execute("BEGIN")
             for statement in self._COORDINATOR_DDL:
                 self._conn.execute(statement)
             for db in self._backend.schemas():

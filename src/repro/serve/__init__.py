@@ -1,11 +1,12 @@
 """Insight serving tier: async read API over the candidate store.
 
 The write path scales through sharding and the worker pool; this
-package scales the *read* path — ROADMAP item 2.  See
-:mod:`repro.serve.server` for the HTTP surface and the freshness
-contract, :mod:`repro.serve.cache` for the fingerprint-validated
-rendered-insight cache, and :mod:`repro.serve.pool` for the per-shard
-read-only replica connections.
+package serves the *read* path.  See :mod:`repro.serve.server` for the
+HTTP surface, the one read path every request takes on the event-loop
+thread and the freshness contract, :mod:`repro.serve.cache` for the
+fingerprint-validated rendered-insight cache, and
+:mod:`repro.serve.pool` for the one read-only replica connection per
+shard.
 """
 
 from repro.serve.cache import CacheStats, InsightCache

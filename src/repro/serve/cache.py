@@ -14,7 +14,9 @@ speedup lives in that ratio.  Nothing evicts entries eagerly when a
 refresh lands: every hit re-validates, so a refreshed user's first
 request is a validate-then-miss.
 
-Thread-safe; the server's executor threads share one instance.
+Thread-safe: the server looks entries up and stores them on its
+event-loop thread while ``/v1/stats`` reads the counters from its
+executor.
 """
 
 from __future__ import annotations

@@ -2,11 +2,13 @@
 
 Writers on different shards already never wait on each other (a
 router transaction locks only the shard files it writes); this module
-gives *readers* the same property: a bounded pool of read-only
-connections per shard, opened through the backend's
+gives *readers* the same property: one read-only connection per shard,
+opened through the backend's
 :meth:`~repro.db.backends.StoreBackend.replica_connection`
-(``mode=ro`` + ``PRAGMA query_only``), so N concurrent readers never
-touch — let alone contend with — the router connection.
+(``mode=ro`` + ``PRAGMA query_only``), so reads never touch — let alone
+contend with — the router connection.  The server checks views out on
+its event-loop thread only, one request at a time, so every checkout of
+a shard shares that shard's one replica.
 
 :class:`ReplicaStoreView` is the duck-typed read-only store facade a
 checked-out replica is wrapped in: it exposes exactly the surface the
@@ -33,7 +35,6 @@ import os
 import sqlite3
 import threading
 from contextlib import contextmanager
-from queue import LifoQueue
 
 import numpy as np
 
@@ -87,71 +88,40 @@ class ReplicaStoreView:
 
 
 class _Replica:
-    """One pooled connection plus the identity it was opened against."""
+    """One shard's connection plus the file identity it was opened on."""
 
-    __slots__ = ("conn", "prefix", "path", "inode")
+    __slots__ = ("conn", "path", "inode")
 
-    def __init__(self, conn, prefix, path, inode):
+    def __init__(self, conn, path, inode):
         self.conn = conn
-        self.prefix = prefix
         self.path = path
         self.inode = inode
 
 
 class ReplicaPool:
-    """Bounded pool of read-only replica connections per shard.
+    """One read-only replica connection per shard.
+
+    Checkouts of a shard share its connection, so one thread at a time
+    reads through the pool (the server's event loop); :meth:`stats` may
+    be read from any thread.
 
     Parameters
     ----------
     store:
         The live store (the pool follows its backend across an online
         ``rebalance()``).
-    per_schema:
-        Replica connections kept per shard.  Acquisition blocks when all
-        are checked out — natural backpressure instead of unbounded
-        file handles.
     """
 
-    def __init__(self, store: CandidateStore, per_schema: int = 4):
-        if per_schema < 1:
-            raise StorageError("per_schema must be >= 1")
+    def __init__(self, store: CandidateStore):
         self.store = store
-        self.per_schema = int(per_schema)
-        self._lock = threading.Lock()
         #: serialises fallback reads through the store's own router
         #: connection when the backend has no openable replicas
         self._router_lock = threading.Lock()
         self._built_for = store.backend
-        self._queues: dict[str, LifoQueue] = {}
+        self._replicas: dict[str, _Replica] = {}
         self.reuses = 0
         self.opens = 0
         self.reopens = 0
-
-    # ------------------------------------------------------------ internals
-
-    def _queue_for(self, schema: str) -> LifoQueue:
-        with self._lock:
-            backend = self.store.backend
-            if backend is not self._built_for:
-                # rebalance() attached a new backend: every pooled
-                # connection points at a retired layout — drop them all
-                for queue in self._queues.values():
-                    while not queue.empty():
-                        replica = queue.get_nowait()
-                        if replica is not None:
-                            replica.conn.close()
-                self._queues.clear()
-                self._built_for = backend
-            queue = self._queues.get(schema)
-            if queue is None:
-                # LIFO so a just-returned (hot) replica is handed out
-                # before an unopened slot — N sequential readers share
-                # one connection instead of round-robining cold opens
-                queue = LifoQueue()
-                for _ in range(self.per_schema):
-                    queue.put(None)  # lazily-opened slot
-                self._queues[schema] = queue
-            return queue
 
     @staticmethod
     def _inode(path: str) -> int | None:
@@ -160,27 +130,37 @@ class ReplicaPool:
         except OSError:
             return None
 
-    def _open(self, schema: str) -> _Replica | None:
-        opened = self.store.backend.replica_connection(schema)
+    def _replica_for(self, schema: str) -> _Replica | None:
+        """The shard's replica, validated against the live store and
+        (re)opened as needed; ``None`` when the backend has none."""
+        backend = self.store.backend
+        if backend is not self._built_for:
+            # rebalance() attached a new backend: every replica points
+            # at a retired layout — drop them all
+            self.close()
+            self._built_for = backend
+        replica = self._replicas.get(schema)
+        if replica is not None:
+            if self._inode(replica.path) == replica.inode:
+                self.reuses += 1
+                return replica
+            # the shard file was atomically swapped underneath (rebalance
+            # parks the old file and renames a staging file into place —
+            # the open handle keeps reading the *old* inode)
+            replica.conn.close()
+            del self._replicas[schema]
+            self.reopens += 1
+        opened = backend.replica_connection(schema)
         if opened is None:
             return None
-        conn, prefix = opened
-        path = getattr(self.store.backend, "path", ":memory:")
+        path = backend.path
         if schema.startswith("shard"):
             path = f"{path}.{schema}"
         self.opens += 1
-        return _Replica(conn, prefix, path, self._inode(path))
-
-    def _validate(self, replica: _Replica, schema: str) -> _Replica | None:
-        """Reopen when the shard file was atomically swapped underneath
-        (rebalance parks the old file and renames a staging file into
-        place — the open handle keeps reading the *old* inode)."""
-        if self._inode(replica.path) == replica.inode:
-            self.reuses += 1
-            return replica
-        replica.conn.close()
-        self.reopens += 1
-        return self._open(schema)
+        replica = self._replicas[schema] = _Replica(
+            opened[0], path, self._inode(path)
+        )
+        return replica
 
     # -------------------------------------------------------------- checkout
 
@@ -188,45 +168,29 @@ class ReplicaPool:
     def view(self, user_id: str):
         """Check out a read-only :class:`ReplicaStoreView` for a user.
 
-        Routes to the user's shard; blocks when all of that shard's
-        replicas are checked out; returns the replica to the pool on
-        exit.
+        Routes to the user's shard replica; without one (in-memory
+        backends) the view reads the store's router connection, holding
+        the pool's router lock until exit.
         """
         store = self.store
-        schema = store.backend.schema_for(user_id)
-        queue = self._queue_for(schema)
-        replica = queue.get()
-        try:
-            if replica is not None:
-                replica = self._validate(replica, schema)
-            if replica is None:
-                replica = self._open(schema)
-            if replica is None:
-                # no openable replica for this topology (in-memory):
-                # serialise through the store's router connection
-                with self._router_lock:
-                    yield ReplicaStoreView(store._conn, store.schema)
-                return
+        replica = self._replica_for(store.backend.schema_for(user_id))
+        if replica is not None:
             yield ReplicaStoreView(replica.conn, store.schema)
-        finally:
-            queue.put(replica)
+            return
+        with self._router_lock:
+            yield ReplicaStoreView(store._conn, store.schema)
 
     # ------------------------------------------------------------- lifecycle
 
     def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "opens": self.opens,
-                "reuses": self.reuses,
-                "reopens": self.reopens,
-                "schemas": len(self._queues),
-            }
+        return {
+            "opens": self.opens,
+            "reuses": self.reuses,
+            "reopens": self.reopens,
+            "schemas": len(self._replicas),
+        }
 
     def close(self) -> None:
-        with self._lock:
-            for queue in self._queues.values():
-                while not queue.empty():
-                    replica = queue.get_nowait()
-                    if replica is not None:
-                        replica.conn.close()
-            self._queues.clear()
+        for replica in self._replicas.values():
+            replica.conn.close()
+        self._replicas.clear()

@@ -1,8 +1,17 @@
 """Asyncio HTTP/JSON serving tier for the Figure-2 insights.
 
 Stdlib only: ``asyncio`` streams speak a small HTTP/1.1 subset (GET,
-keep-alive), and each request's database work runs as **one** job on a
-thread-pool executor so the event loop never blocks on sqlite.
+keep-alive).  Every ``/insights`` and ``/q`` request is answered on the
+event-loop thread over its user's shard replica (one read-only
+connection per shard, :mod:`repro.serve.pool`): a cache hit and a miss
+take the same read path, and a render pays no thread handoff.  A
+one-thread executor runs only the work that goes through the router
+connection: access-log flushes, ``/v1/stats`` and ``/v1/orchestrator``.
+
+Trade-off: a replica read (a hit's ledger read as much as a miss's
+render) that meets a writer's commit on its shard waits in SQLite's
+busy handler, and the whole event loop waits with it until the commit
+releases the shard file.
 
 Endpoints (versioned under ``/v1/``)
 ------------------------------------
@@ -40,7 +49,7 @@ into decayed per-user priority scores that order its budgeted drains.
 Freshness contract
 ------------------
 Every response is rendered against a **consistent fingerprint
-snapshot**: the worker reads the user's ``(time, model_fp)`` ledger,
+snapshot**: the server reads the user's ``(time, model_fp)`` ledger,
 renders (or serves the cache entry validated against exactly that
 vector), then re-reads the ledger and retries if anything moved.
 Fingerprint transitions are one-way within an epoch (old → new, written
@@ -51,22 +60,12 @@ its ``insights`` were computed under, refresh in flight or not.
 
 Cache hits replace the ~15–25 queries of a bundle render with a single
 indexed primary-key ledger read plus a dict lookup; replica
-connections (:mod:`repro.serve.pool`) keep even cache *misses* off the
-writers' connections.
-
-Hits are additionally served on a **fast path**: the ledger
-validation read runs inline on the event-loop thread against a
-dedicated replica (a sub-100µs indexed point read — cheaper than the
-executor round-trip it replaces), and only cache misses pay the
-thread-pool dispatch for the full render.  In-memory backends have no
-separately-openable replica, so they always take the executor path.
+connections keep even cache *misses* off the writers' connections.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
-import sqlite3
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
@@ -162,17 +161,6 @@ class ServeError(ReproError):
         self.code = code or _DEFAULT_CODES.get(status, "error")
 
 
-class _FastReplica:
-    """One event-loop-thread replica plus the inode it was opened on."""
-
-    __slots__ = ("conn", "path", "inode")
-
-    def __init__(self, conn, path, inode):
-        self.conn = conn
-        self.path = path
-        self.inode = inode
-
-
 class InsightServer:
     """Async HTTP server over one :class:`CandidateStore`.
 
@@ -190,10 +178,6 @@ class InsightServer:
     cache_size / cache_enabled:
         Rendered-insight cache bound; disabling the cache renders every
         request from SQL (the benchmark's baseline mode).
-    replicas_per_schema:
-        Read-only replica connections kept per shard.
-    executor_threads:
-        Worker threads for the blocking database/render work.
     access_log:
         Whether served ``/insights`` / ``/q`` requests are recorded into
         the store's ``access_log`` (the refresh-priority feedback path).
@@ -211,8 +195,6 @@ class InsightServer:
         port: int = 0,
         cache_size: int = 4096,
         cache_enabled: bool = True,
-        replicas_per_schema: int = 4,
-        executor_threads: int = 8,
         access_log: bool = True,
     ):
         self.store = store
@@ -221,16 +203,12 @@ class InsightServer:
         self.port = int(port)
         self.cache_enabled = bool(cache_enabled)
         self.cache = InsightCache(cache_size)
-        self.pool = ReplicaPool(store, per_schema=replicas_per_schema)
-        # fast-path state, touched ONLY by the event-loop thread (so no
-        # locks): one replica per schema, the compiled ledger SQL, and a
-        # parsed-plan cache keyed on the raw request target
-        self._fast_replicas: dict[str, _FastReplica] = {}
-        self._fast_built_for: object | None = None
-        self._fast_ledger_sql: str | None = None
+        # the pool and the parsed-plan cache (keyed on the raw request
+        # target) are touched only by the event-loop thread
+        self.pool = ReplicaPool(store)
         self._plan_cache: dict[str, tuple] = {}
         self._executor = ThreadPoolExecutor(
-            max_workers=executor_threads, thread_name_prefix="serve"
+            max_workers=1, thread_name_prefix="serve"
         )
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -272,9 +250,6 @@ class InsightServer:
                 self._access_store.close()
             self._access_store = None
         self.pool.close()
-        for replica in self._fast_replicas.values():
-            replica.conn.close()
-        self._fast_replicas.clear()
 
     def start_background(self) -> str:
         """Run the server on a dedicated event-loop thread.
@@ -394,39 +369,37 @@ class InsightServer:
             return 405, _error("method_not_allowed", "only GET is supported"), headers
         try:
             plan = self._plan_cache.get(target)
-            if plan is not None:
-                body = await self._serve_key(*plan)
-                self._record_access(plan[0], plan[1][1])
-                return 200, body, headers
-            split = urlsplit(target)
-            path = split.path
-            if versioned:
-                path = path[len("/v1"):]
-            query = {
-                key: values[-1] for key, values in parse_qs(split.query).items()
-            }
-            if path == "/healthz":
-                return 200, {"status": "ok"}, headers
-            if path == "/stats":
-                return 200, await self._in_executor(self._stats_payload), headers
-            if path == "/orchestrator":
-                return 200, await self._in_executor(
-                    orchestrator_payload, self.store
-                ), headers
-            if path == "/insights":
-                plan = self._plan_bundle(query)
-            elif path.startswith("/q/"):
-                plan = self._plan_question(path[len("/q/"):], query)
-            else:
-                return 404, _error("not_found", f"unknown path {path!r}"), headers
-            # parsing is deterministic in the target string, so cache the
-            # plan (closures included) and skip urlsplit/parse_qs on
-            # repeats; keyed on the raw target, so /v1/ and bare aliases
-            # hold distinct (byte-identical) entries
-            if len(self._plan_cache) >= 4096:
-                self._plan_cache.clear()
-            self._plan_cache[target] = plan
-            body = await self._serve_key(*plan)
+            if plan is None:
+                split = urlsplit(target)
+                path = split.path
+                if versioned:
+                    path = path[len("/v1"):]
+                query = {
+                    key: values[-1]
+                    for key, values in parse_qs(split.query).items()
+                }
+                if path == "/healthz":
+                    return 200, {"status": "ok"}, headers
+                if path == "/stats":
+                    return 200, await self._in_executor(self._stats_payload), headers
+                if path == "/orchestrator":
+                    return 200, await self._in_executor(
+                        orchestrator_payload, self.store
+                    ), headers
+                if path == "/insights":
+                    plan = self._plan_bundle(query)
+                elif path.startswith("/q/"):
+                    plan = self._plan_question(path[len("/q/"):], query)
+                else:
+                    return 404, _error("not_found", f"unknown path {path!r}"), headers
+                # parsing is deterministic in the target string, so cache
+                # the plan (closures included) and skip urlsplit/parse_qs
+                # on repeats; keyed on the raw target, so /v1/ and bare
+                # aliases hold distinct (byte-identical) entries
+                if len(self._plan_cache) >= 4096:
+                    self._plan_cache.clear()
+                self._plan_cache[target] = plan
+            body = self._render_consistent(*plan)
             self._record_access(plan[0], plan[1][1])
             return 200, body, headers
         except ServeError as exc:
@@ -438,76 +411,6 @@ class InsightServer:
 
     async def _in_executor(self, fn, *args):
         return await self._loop.run_in_executor(self._executor, fn, *args)
-
-    async def _serve_key(
-        self, user: str, key: tuple, render, want_freshness: bool = False
-    ) -> str:
-        if not want_freshness:
-            hit = self._fast_lookup(user, key)
-            if hit is not None:
-                return hit
-        return await self._in_executor(
-            self._render_consistent, user, key, render, want_freshness
-        )
-
-    def _fast_lookup(self, user: str, key: tuple) -> str | None:
-        """Cache-hit fast path, inline on the event-loop thread.
-
-        A hit needs exactly one indexed point read (the fingerprint
-        ledger) to validate — cheaper than the executor round-trip that
-        dispatching it would cost.  Uses loop-thread-only replicas (no
-        locks) with the same rebalance defences as the pool: backend
-        identity drops every replica, an inode probe per use catches a
-        swapped shard file.  Runs only when the backend has real replica
-        files; the in-memory fallback shares the router connection with
-        executor threads and must stay serialised there.
-        """
-        if not self.cache_enabled:
-            return None
-        backend = self.store.backend
-        if getattr(backend, "path", ":memory:") == ":memory:":
-            return None
-        if backend is not self._fast_built_for:
-            for replica in self._fast_replicas.values():
-                replica.conn.close()
-            self._fast_replicas.clear()
-            self._fast_built_for = backend
-            self._fast_ledger_sql = prepared_for(self.store.schema.names)._sql["ledger"]
-        schema = backend.schema_for(user)
-        replica = self._fast_replicas.get(schema)
-        if replica is not None and self._inode(replica.path) != replica.inode:
-            replica.conn.close()
-            replica = None
-        if replica is None:
-            opened = backend.replica_connection(schema)
-            if opened is None:
-                return None
-            path = backend.path
-            if schema.startswith("shard"):
-                path = f"{path}.{schema}"
-            replica = _FastReplica(opened[0], path, self._inode(path))
-            self._fast_replicas[schema] = replica
-        try:
-            rows = replica.conn.execute(self._fast_ledger_sql, (user,)).fetchall()
-        except sqlite3.Error:
-            # replica went stale under us (file replaced mid-probe):
-            # drop it and let the executor path answer this request
-            replica.conn.close()
-            self._fast_replicas.pop(schema, None)
-            return None
-        if not rows:
-            raise ServeError(404, f"unknown user {user!r}")
-        # the ledger SQL is ORDER BY time, so the rows already form the
-        # sorted fingerprint vector the cache validates against
-        fps = tuple((int(row[0]), str(row[1])) for row in rows)
-        return self.cache.get(key, fps)
-
-    @staticmethod
-    def _inode(path: str) -> int | None:
-        try:
-            return os.stat(path).st_ino
-        except OSError:
-            return None
 
     def _stats_payload(self) -> dict[str, Any]:
         try:
@@ -527,7 +430,6 @@ class InsightServer:
             "cache_enabled": self.cache_enabled,
             "cache_entries": len(self.cache),
             "pool": self.pool.stats(),
-            "fast_replicas": len(self._fast_replicas),
             "access": access,
             "freshness": freshness,
         }
@@ -552,8 +454,8 @@ class InsightServer:
                 store = self._access_store_handle()
                 store.record_accesses(batch)
                 # counter bumped under the same lock that serialises
-                # flushes: concurrent executor threads and the /v1/stats
-                # reader would otherwise race the unsynchronised +=
+                # flushes: stop()'s final flush on the loop thread would
+                # otherwise race an executor flush still in flight
                 self.accesses_recorded += len(batch)
         except Exception:
             with self._access_lock:
@@ -702,7 +604,8 @@ class InsightServer:
         self, user: str, key: tuple, render, want_freshness: bool = False
     ) -> str:
         """Serve ``key`` from cache or render it — under a consistent
-        fingerprint snapshot (see module docstring).
+        fingerprint snapshot (see module docstring), on the calling
+        (event-loop) thread.
 
         Freshness-annotated responses bypass the cache in both
         directions: ``meta.freshness`` is wall-clock-dependent, so a

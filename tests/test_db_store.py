@@ -8,6 +8,7 @@ import pytest
 from repro.core import Candidate, CandidateMetrics
 from repro.data import DatasetSchema, FeatureSpec
 from repro.db import CandidateStore
+from repro.db.backends import ShardedSQLiteBackend
 from repro.exceptions import StorageError
 
 
@@ -115,6 +116,26 @@ class TestFileBacked:
             store.store_candidates("u1", [make_candidate(john)])
         with CandidateStore(schema, path) as store:
             assert store.candidate_count("u1") == 1
+
+    def test_fresh_sharded_store_creates_its_tables_in_one_transaction(
+        self, schema, tmp_path
+    ):
+        """sqlite3 opens no implicit transaction for DDL, so without an
+        explicit BEGIN each CREATE over the router and every shard would
+        commit (and sync its journal) on its own."""
+        backend = ShardedSQLiteBackend(tmp_path / "ddl.db", n_shards=4)
+        statements = []
+        backend.conn.set_trace_callback(statements.append)
+        store = CandidateStore(schema, backend=backend)
+        backend.conn.set_trace_callback(None)
+        verbs = [statement.split()[0].upper() for statement in statements]
+        assert verbs.count("BEGIN") == verbs.count("COMMIT") == 1
+        begin, commit = verbs.index("BEGIN"), verbs.index("COMMIT")
+        creates = [i for i, verb in enumerate(verbs) if verb == "CREATE"]
+        # the router's four coordinator tables plus every shard's tables
+        assert len(creates) > 4 * 5
+        assert begin < min(creates) and max(creates) < commit
+        store.close()
 
 
 @pytest.mark.parametrize("backend", ["sqlite", "sharded"])

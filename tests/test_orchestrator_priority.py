@@ -7,12 +7,14 @@ access log and arms the budget, the pool drains in priority order, the
 epoch's freshness report describes the store as the drain left it, and
 the checkpointed carry-over and stale-since state survive a rebuilt
 orchestrator, whose next epoch escalates the cells the first one
-deferred.
+deferred.  Cells deferred by a spent budget are not an interrupted
+drain, so restarting over them recovers nothing.
 """
 
 import numpy as np
 import pytest
 
+import repro.core.orchestrator as orchestrator_module
 from repro.constraints import lending_domain_constraints
 from repro.core import (
     AdminConfig,
@@ -176,3 +178,41 @@ def test_budgeted_epochs_drain_by_priority_and_escalate_deferred_cells(
         fingerprints
     )
     store.close()
+
+
+def test_restarts_after_a_spent_budget_run_no_recovery_drain(
+    schema, history, tmp_path, monkeypatch
+):
+    """Cells a budgeted epoch deferred are not an interrupted drain:
+    with the durable budget row at 0, a restart has nothing to recover,
+    so it dispatches no pool and counts no epoch."""
+    system, pkl, db = build_state(schema, history, tmp_path)
+    first = orchestrator(system, make_batch(schema, history, seed=99), pkl, db)
+    assert len(first.run(max_polls=2, poll_interval=0.0)) == 1
+    assert len(system.store.stale_cells(system.model_fingerprints)) == 4
+    assert system.store.refresh_budget_remaining() == 0
+    system.store.close()
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("recovery dispatched a worker pool")
+
+    monkeypatch.setattr(orchestrator_module, "run_worker_pool", no_pool)
+    for _ in range(2):
+        reloaded = load_system(pkl, store_path=db)
+        restarted = RefreshOrchestrator(
+            reloaded,
+            IteratorFeed([]),
+            system_path=pkl,
+            db_path=db,
+            n_workers=1,
+            cadence=0.0,
+            warm_start=False,
+            budget=BUDGET,
+            sla_epochs=1,
+            priority_halflife=HALFLIFE,
+        )
+        assert restarted.run(max_polls=1, poll_interval=0.0) == []
+        assert restarted.last_recovery is None
+        assert restarted.epochs_completed == 1
+        assert reloaded.saved_extra["orchestrator"]["epochs"] == 1
+        reloaded.store.close()

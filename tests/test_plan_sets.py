@@ -333,12 +333,7 @@ def http_get(port, path):
 
 @pytest.fixture(scope="module")
 def served(populated):
-    server = InsightServer(
-        populated.store,
-        populated.time_values,
-        replicas_per_schema=2,
-        executor_threads=2,
-    )
+    server = InsightServer(populated.store, populated.time_values)
     server.start_background()
     yield server
     server.stop_background()

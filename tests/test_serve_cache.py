@@ -130,9 +130,7 @@ class TestCacheFreshnessUnderRefresh:
         )
         for i in range(3):
             fill_user(store, f"u{i}", john, "fp0")
-        server = InsightServer(
-            store, TIME_VALUES, replicas_per_schema=2, executor_threads=4
-        )
+        server = InsightServer(store, TIME_VALUES)
         server.start_background()
         return store, server
 

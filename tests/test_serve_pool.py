@@ -91,7 +91,7 @@ class TestReplicaStoreView:
 
 class TestReplicaPool:
     def test_connections_are_reused(self, sharded):
-        pool = ReplicaPool(sharded, per_schema=2)
+        pool = ReplicaPool(sharded)
         for _ in range(5):
             with pool.view("u1") as view:
                 view.cell_fingerprints("u1")
@@ -100,17 +100,6 @@ class TestReplicaPool:
         assert stats["reuses"] == 4
         assert stats["reopens"] == 0
         pool.close()
-
-    def test_nested_checkouts_use_distinct_connections(self, sharded):
-        pool = ReplicaPool(sharded, per_schema=2)
-        with pool.view("u1") as a, pool.view("u1") as b:
-            assert a._conn is not b._conn
-        assert pool.stats()["opens"] == 2
-        pool.close()
-
-    def test_per_schema_minimum_enforced(self, sharded):
-        with pytest.raises(StorageError):
-            ReplicaPool(sharded, per_schema=0)
 
     def test_memory_backend_falls_back_to_router(self, schema, john):
         store = CandidateStore(schema)  # :memory:
@@ -124,7 +113,7 @@ class TestReplicaPool:
         store.close()
 
     def test_swapped_shard_file_reopens_by_inode(self, sharded, tmp_path):
-        pool = ReplicaPool(sharded, per_schema=1)
+        pool = ReplicaPool(sharded)
         u_schema = sharded.backend.schema_for("u1")
         with pool.view("u1") as view:
             before = view.cell_fingerprints("u1")
@@ -141,7 +130,7 @@ class TestReplicaPool:
         pool.close()
 
     def test_rebalance_mid_serve_rebuilds_pool(self, sharded):
-        pool = ReplicaPool(sharded, per_schema=2)
+        pool = ReplicaPool(sharded)
         expected = {user: sharded.cell_fingerprints(user) for user in USERS}
         with pool.view("u1") as view:
             assert view.cell_fingerprints("u1") == expected["u1"]

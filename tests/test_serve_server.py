@@ -103,9 +103,7 @@ def served(schema, john, tmp_path):
     )
     for user in USERS:
         fill_user(store, user, john)
-    server = InsightServer(
-        store, TIME_VALUES, replicas_per_schema=2, executor_threads=4
-    )
+    server = InsightServer(store, TIME_VALUES)
     server.start_background()
     yield server, store
     server.stop_background()
@@ -512,7 +510,7 @@ class TestAccessCounterConsistency:
         account for every request exactly once — no lost updates."""
         store = CandidateStore(schema)  # :memory:
         fill_user(store, "u1", john)
-        server = InsightServer(store, TIME_VALUES, executor_threads=8)
+        server = InsightServer(store, TIME_VALUES)
         server.start_background()
         per_thread, n_threads = 15, 8
         failures = []
@@ -626,3 +624,56 @@ class TestFreshnessClockSkew:
         assert age is not None
         # a host clock 2h *behind* would have produced a negative age
         assert 25.0 <= age <= 300.0
+
+
+class TestOneReadPath:
+    def test_misses_render_on_the_loop_thread(
+        self, schema, john, tmp_path, monkeypatch
+    ):
+        """Hits and misses share one read path on the event-loop thread:
+        with the access log off, N requests that all miss send nothing
+        to the executor, render every answer on the loop thread and look
+        the cache up once each."""
+        store = CandidateStore(
+            schema, tmp_path / "loop.db", backend="sharded", n_shards=2
+        )
+        for user in USERS:
+            fill_user(store, user, john)
+        server = InsightServer(store, TIME_VALUES, access_log=False)
+        submitted = []
+        submit = server._executor.submit
+
+        def counting_submit(fn, *args, **kwargs):
+            submitted.append(fn)
+            return submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(server._executor, "submit", counting_submit)
+        ask_threads = []
+        ask = InsightEngine.ask
+
+        def recording_ask(self, *args, **kwargs):
+            ask_threads.append(threading.current_thread())
+            return ask(self, *args, **kwargs)
+
+        monkeypatch.setattr(InsightEngine, "ask", recording_ask)
+        server.start_background()
+        loop_thread = server._thread
+        n = 8
+        try:
+            for i in range(n):
+                user = USERS[i % len(USERS)]
+                alpha = 0.5 + i / 100
+                path = (
+                    f"/v1/insights?user={user}&alpha={alpha}"
+                    if i % 2
+                    else f"/v1/q/q6?user={user}&alpha={alpha}"
+                )
+                status, body = http_get(server.port, path)
+                assert status == 200, body
+        finally:
+            server.stop_background()
+            store.close()
+        assert submitted == []
+        assert ask_threads and set(ask_threads) == {loop_thread}
+        assert server.cache.stats.hits == 0
+        assert server.cache.stats.misses == n

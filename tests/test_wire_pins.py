@@ -3,10 +3,9 @@
 ``tests/test_golden_digests.py`` pins what the store holds; this module
 pins what the serving tier sends.  The served store is John's running
 example as ``test_john_quickstart`` builds it, but file-backed and
-sharded, so a cold read renders over the per-shard replica pool and the
-warm read of the same target is a cache hit validated inline on the
-event-loop thread.  Both reads of every target must hash to the pinned
-value.  Q3 and Q6 are the canned questions that bind named parameters.
+sharded, so a cold read renders over John's shard replica and the warm
+read of the same target is a cache hit validated over that same
+replica.  Both reads of every target must hash to the pinned value.  Q3 and Q6 are the canned questions that bind named parameters.
 
 ``/v1/orchestrator`` is not pinned: its body carries store-clock
 fields.
@@ -63,12 +62,7 @@ def served(tmp_path_factory):
         john_profile(),
         user_constraints=["annual_income <= base_annual_income * 1.2"],
     )
-    server = InsightServer(
-        system.store,
-        system.time_values,
-        replicas_per_schema=1,
-        executor_threads=2,
-    )
+    server = InsightServer(system.store, system.time_values)
     server.start_background()
     yield system, server
     server.stop_background()
@@ -91,8 +85,7 @@ def test_cold_and_warm_bodies(served, path):
         assert hashlib.sha256(body).hexdigest() == WIRE_SHA256[path], read
     # the warm read was answered from the cache, not re-rendered
     assert server.cache.stats.hits == hits + 1
-    # the cold render read through the replica pool, the warm hit
-    # through the event loop's own replica of John's shard
+    # the cold render and the warm hit read through one replica of
+    # John's shard
     stats = json.loads(http_get(server.port, "/v1/stats")[1])
-    assert stats["pool"]["opens"] >= 1
-    assert stats["fast_replicas"] == 1
+    assert stats["pool"]["opens"] == 1
