@@ -57,9 +57,10 @@ Feature columns are generated from the dataset schema; names are
 validated as SQL identifiers.  All user-supplied *values* go through
 parametrised statements (``?`` binds: the SQL is SQLite's).  Storage
 topology (single file, in-memory, or user-sharded) is delegated to
-:mod:`repro.db.backends`; on a sharded backend every table exists once
-per shard and reads go through ``UNION ALL`` views, so all SQL below
-stays topology agnostic.
+:mod:`repro.db.backends`; on a sharded backend every table but
+``access_log`` exists once per shard (the log is one router table,
+beside the coordinator tables) and reads go through ``UNION ALL``
+views, so all SQL below stays topology agnostic.
 
 **Write path** — every write runs on the router connection under the
 owning shard's schema prefix.  A bulk write is grouped per shard and
@@ -101,6 +102,12 @@ __all__ = ["CandidateStore"]
 
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _RESERVED = {"id", "user_id", "time", "diff", "gap", "p", "model_fp", "refreshed_at"}
+
+#: the tables a sharded store keeps once per shard, all keyed by user
+_SHARD_TABLES = (
+    "temporal_inputs", "candidates", "user_sessions", "refresh_leases",
+    "user_priority", "refresh_escalations",
+)
 
 #: statement openers accepted by the read-only expert passthrough
 _READONLY_OPENERS = ("select", "with", "values", "explain")
@@ -232,17 +239,6 @@ class CandidateStore:
                 PRIMARY KEY (user_id, time)
             )
             """,
-            # raw serving-tier read events, drained (and deleted) by
-            # materialize_priorities — a spool, never a long-lived table
-            f"""
-            CREATE TABLE IF NOT EXISTS {db}.access_log (
-                user_id TEXT NOT NULL,
-                question TEXT NOT NULL,
-                accessed_at REAL NOT NULL
-            )
-            """,
-            f"CREATE INDEX IF NOT EXISTS {db}.idx_access_log_user"
-            " ON access_log (user_id)",
             f"""
             CREATE TABLE IF NOT EXISTS {db}.user_priority (
                 user_id TEXT PRIMARY KEY,
@@ -280,7 +276,7 @@ class CandidateStore:
     #: coordination tables, always in the router's ``main`` schema: the
     #: rebalance phase row read by
     #: :func:`repro.db.backends.recover_rebalance`, the refresh budget,
-    #: the leader lease and the orchestrator's metrics snapshot
+    #: the leader lease, the orchestrator's metrics snapshot and the access log
     _COORDINATOR_DDL = (
         """
         CREATE TABLE IF NOT EXISTS main.rebalance_state (
@@ -325,6 +321,14 @@ class CandidateStore:
             payload TEXT NOT NULL
         )
         """,
+        # a spool that materialize_priorities reads whole: no index
+        """
+        CREATE TABLE IF NOT EXISTS main.access_log (
+            user_id TEXT NOT NULL,
+            question TEXT NOT NULL,
+            accessed_at REAL NOT NULL
+        )
+        """,
     )
 
     def _create_tables(self) -> None:
@@ -337,6 +341,15 @@ class CandidateStore:
             for db in self._backend.schemas():
                 for statement in self._table_ddl(db):
                     self._conn.execute(statement)
+                # older stores keep an access log per shard: carry it over
+                if db != "main" and self._conn.execute(
+                    f"SELECT 1 FROM {db}.sqlite_master WHERE name = 'access_log'"
+                ).fetchone():
+                    self._conn.execute(
+                        "INSERT INTO main.access_log SELECT user_id, question,"
+                        f" accessed_at FROM {db}.access_log ORDER BY rowid"
+                    )
+                    self._conn.execute(f"DROP TABLE {db}.access_log")
                 # migrate databases created before the refresh subsystem:
                 # their tables predate the model_fp column (cells read as
                 # fingerprint '' — i.e. stale, which is the safe default)
@@ -380,15 +393,7 @@ class CandidateStore:
                 # queries (expert SQL, Figure-2 canned SQL) are
                 # shard-transparent; sqlite views are read-only, which
                 # suits the expert interface
-                for table in (
-                    "temporal_inputs",
-                    "candidates",
-                    "user_sessions",
-                    "refresh_leases",
-                    "access_log",
-                    "user_priority",
-                    "refresh_escalations",
-                ):
+                for table in _SHARD_TABLES:
                     union = " UNION ALL ".join(
                         f"SELECT * FROM {db}.{table}"
                         for db in self._backend.schemas()
@@ -744,11 +749,6 @@ class CandidateStore:
                 "ORDER BY user_id, time",
             ),
             (
-                "access_log",
-                "user_id, question, accessed_at",
-                "ORDER BY user_id, accessed_at",
-            ),
-            (
                 "user_priority",
                 "user_id, score, updated_at",
                 "ORDER BY user_id",
@@ -770,13 +770,9 @@ class CandidateStore:
                 users = sorted(
                     str(r[0])
                     for r in source.execute(
-                        "SELECT user_id FROM temporal_inputs"
-                        " UNION SELECT user_id FROM candidates"
-                        " UNION SELECT user_id FROM user_sessions"
-                        " UNION SELECT user_id FROM refresh_leases"
-                        " UNION SELECT user_id FROM access_log"
-                        " UNION SELECT user_id FROM user_priority"
-                        " UNION SELECT user_id FROM refresh_escalations"
+                        " UNION ".join(
+                            f"SELECT user_id FROM {table}" for table in _SHARD_TABLES
+                        )
                     )
                 )
             finally:
@@ -1667,11 +1663,13 @@ class CandidateStore:
 
         ``entries`` is an iterable of ``(user_id, question, ts)``;
         ``ts=None`` stamps the event with ``now`` (store-side clock by
-        default).  Rows are routed to the user's shard so the serving
-        tier's fire-and-forget batches never contend on one write lock.
-        Returns the number of rows written.  The log is raw material
-        for :meth:`materialize_priorities`; it is not part of
-        :meth:`contents_digest`.
+        default).  On a sharded store the log is one router table: a
+        batch is one commit to a file no replica opens, so a flush never
+        stalls a read.  It shares the router's write lock with claims,
+        lease and budget writes (whose ``BEGIN IMMEDIATE`` locks every
+        file anyway) but runs off the serving event loop; a single-file
+        store keeps the log with its data.  Returns the rows written,
+        raw material for :meth:`materialize_priorities`, not digested.
         """
         entries = [
             (str(user), str(question), None if ts is None else float(ts))
@@ -1681,21 +1679,13 @@ class CandidateStore:
             return 0
         if any(ts is None for _, _, ts in entries):
             now = float(self.clock_now() if now is None else now)
-        grouped: dict[str, list[tuple[str, str, float]]] = {}
-        for user, question, ts in entries:
-            grouped.setdefault(self._db_for(user), []).append(
-                (user, question, now if ts is None else ts)
+        with self._conn:
+            self._conn.executemany(
+                "INSERT INTO main.access_log"
+                " (user_id, question, accessed_at) VALUES (?, ?, ?)",
+                [(user, q, now if ts is None else ts) for user, q, ts in entries],
             )
-        written = 0
-        for db, rows in grouped.items():
-            with self._conn:
-                self._conn.executemany(
-                    f"INSERT INTO {db}.access_log"
-                    " (user_id, question, accessed_at) VALUES (?, ?, ?)",
-                    rows,
-                )
-            written += len(rows)
-        return written
+        return len(entries)
 
     def materialize_priorities(
         self, *, now: float | None = None, halflife_seconds: float = 3600.0
@@ -1706,11 +1696,11 @@ class CandidateStore:
         decayed from its ``updated_at`` to ``now``, each logged access
         contributes ``0.5 ** (age / halflife)``, and the merged score is
         re-stamped at ``now``.  The fold is one ``BEGIN IMMEDIATE``
-        transaction taken *before* its first read (read → delete →
-        upsert over every shard), so a concurrent :meth:`record_accesses`
-        batch either lands before the fold reads the log or waits and
-        survives for the next one — never lost.  Returns the merged
-        ``{user_id: score}`` mapping across all shards.
+        transaction taken *before* its first read (read and delete the
+        router's log, upsert every shard's scores), so a concurrent
+        :meth:`record_accesses` batch either lands before the fold reads
+        the log or waits and survives for the next one — never lost.
+        Returns the merged ``{user_id: score}`` mapping across all shards.
         """
         now = float(self.clock_now() if now is None else now)
         halflife = float(halflife_seconds)
@@ -1720,21 +1710,23 @@ class CandidateStore:
         merged: dict[str, float] = {}
         self._begin_immediate()
         try:
+            by_db: dict[str, list] = {}
+            for user, ts in conn.execute(
+                "SELECT user_id, accessed_at FROM main.access_log"
+            ).fetchall():
+                user = str(user)
+                by_db.setdefault(self._db_for(user), []).append((user, ts))
+            conn.execute("DELETE FROM main.access_log")
             for db in self._backend.schemas():
-                accesses = conn.execute(
-                    f"SELECT user_id, accessed_at FROM {db}.access_log"
-                ).fetchall()
                 old = conn.execute(
                     f"SELECT user_id, score, updated_at FROM {db}.user_priority"
                 ).fetchall()
-                conn.execute(f"DELETE FROM {db}.access_log")
                 scores: dict[str, float] = {}
                 for user, score, updated in old:
                     age = max(0.0, now - float(updated))
                     scores[str(user)] = float(score) * 0.5 ** (age / halflife)
-                for user, ts in accesses:
+                for user, ts in by_db.get(db, ()):
                     age = max(0.0, now - float(ts))
-                    user = str(user)
                     scores[user] = scores.get(user, 0.0) + 0.5 ** (age / halflife)
                 conn.executemany(
                     f"INSERT INTO {db}.user_priority"

@@ -31,6 +31,10 @@ __all__ = [
     "as_rng",
 ]
 
+#: an estimator's ``_fitted_caches`` maps each prediction cache to the
+#: value ``fit`` leaves it at, or to ``UNSET`` when fit leaves it absent
+UNSET = object()
+
 
 def as_rng(random_state: int | np.random.Generator | None) -> np.random.Generator:
     """Return a numpy :class:`~numpy.random.Generator` for ``random_state``.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import BaseClassifier, as_rng, check_X, check_X_y, check_fitted
+from repro.ml.base import UNSET, BaseClassifier, as_rng, check_X, check_X_y, check_fitted
 from repro.ml.tree import DecisionTreeClassifier, TreePack
 
 __all__ = ["RandomForestClassifier"]
@@ -43,6 +43,8 @@ class RandomForestClassifier(BaseClassifier):
     random_state:
         Seeds bootstrap draws and per-tree feature subsampling.
     """
+
+    _fitted_caches = {"_split_thresholds_cache": None, "_pack": UNSET}
 
     def __init__(
         self,
@@ -117,8 +119,7 @@ class RandomForestClassifier(BaseClassifier):
         check_fitted(self, "trees_")
         X = check_X(X)
         self._check_n_features(X)
-        # built on first use, never in fit: an unscored forest's state,
-        # and so its content fingerprint, does not hold the pack
+        # built on first use, never in fit
         pack = getattr(self, "_pack", None)
         if pack is None:
             pack = self._pack = TreePack(self.trees_)

@@ -106,6 +106,8 @@ class DecisionTreeClassifier(BaseClassifier):
         Seeds the feature subsampling.
     """
 
+    _fitted_caches = {"_flat": None}
+
     def __init__(
         self,
         criterion: str = "gini",

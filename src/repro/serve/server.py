@@ -9,9 +9,10 @@ one-thread executor runs only the work that goes through the router
 connection: access-log flushes, ``/v1/stats`` and ``/v1/orchestrator``.
 
 Trade-off: a replica read (a hit's ledger read as much as a miss's
-render) that meets a writer's commit on its shard waits in SQLite's
-busy handler, and the whole event loop waits with it until the commit
-releases the shard file.
+render) that meets a refresh upsert's commit on its shard waits in
+SQLite's busy handler, and the whole event loop waits with it until the
+commit releases the shard file.  Access-log flushes commit to the
+router file, which no replica opens.
 
 Endpoints (versioned under ``/v1/``)
 ------------------------------------
@@ -43,8 +44,10 @@ Each served ``/insights`` / ``/q`` request is recorded as a ``(user,
 question, ts)`` row in the store's ``access_log`` — buffered on the
 event-loop thread and flushed in batches from the executor through a
 dedicated write connection (fire-and-forget: a failed flush drops the
-batch, never the response).  The refresh orchestrator folds the log
-into decayed per-user priority scores that order its budgeted drains.
+batch, never the response).  A batch is one commit to the router file,
+so a flush never stalls a replica read.  The refresh orchestrator folds
+the log into decayed per-user priority scores that order its budgeted
+drains.
 
 Freshness contract
 ------------------
@@ -72,7 +75,6 @@ from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.insights import QUESTIONS, InsightEngine
-from repro.db.backends import ShardedSQLiteBackend, SQLiteBackend
 from repro.db.prepared import prepared_for
 from repro.db.store import CandidateStore
 from repro.exceptions import QueryError, ReproError, StorageError
@@ -180,10 +182,11 @@ class InsightServer:
         request from SQL (the benchmark's baseline mode).
     access_log:
         Whether served ``/insights`` / ``/q`` requests are recorded into
-        the store's ``access_log`` (the refresh-priority feedback path).
-        On file-backed stores the flushes go through a dedicated write
-        connection; in-memory stores share the router connection under a
-        lock.  ``False`` disables recording entirely.
+        the store's ``access_log`` (the refresh-priority feedback path),
+        which a sharded store keeps in its router file, out of every
+        replica's way.  On file-backed stores the flushes go through a
+        dedicated write connection; in-memory stores share the router
+        connection under a lock.  ``False`` disables recording entirely.
     """
 
     def __init__(
@@ -470,18 +473,13 @@ class InsightServer:
         router connection.  In-memory backends cannot be re-opened, so
         they fall back to the shared store — serialised by the lock.
         """
-        if self._access_store is not None:
-            return self._access_store
-        backend = self.store.backend
-        opened = None
-        if isinstance(backend, ShardedSQLiteBackend) and backend.path != ":memory:":
-            opened = ShardedSQLiteBackend(backend.path, n_shards=backend.n_shards)
-        elif isinstance(backend, SQLiteBackend) and backend.path != ":memory:":
-            opened = SQLiteBackend(backend.path)
-        if opened is None:
-            self._access_store = self.store
-        else:
-            self._access_store = CandidateStore(self.store.schema, backend=opened)
+        if self._access_store is None:
+            path = getattr(self.store.backend, "path", ":memory:")
+            self._access_store = (
+                self.store
+                if path == ":memory:"
+                else CandidateStore(self.store.schema, path)
+            )
         return self._access_store
 
     # ------------------------------------------------------ request parsing

@@ -27,6 +27,8 @@ import types
 
 import numpy as np
 
+from repro.ml.base import UNSET
+
 __all__ = ["canonical_bytes", "content_fingerprint", "model_fingerprint", "walk_models"]
 
 #: Digest length (hex chars) stored per model; 64 bits of SHA-256 is
@@ -55,6 +57,10 @@ def _object_state(obj) -> dict:
     for name in slots:
         if hasattr(obj, name):
             state[name] = getattr(obj, name)
+    # a prediction cache hashes as fit leaves it: scoring moves no fingerprint
+    for name, fitted in getattr(type(obj), "_fitted_caches", {}).items():
+        if state.pop(name, UNSET) is not UNSET and fitted is not UNSET:
+            state[name] = fitted
     if not state and not hasattr(obj, "__dict__") and not slots:
         raise ValueError(
             f"canonical_bytes cannot serialise {type(obj).__name__!r}"
@@ -147,8 +153,7 @@ def walk_models(models) -> list:
 
     Returns one pre-rendered entry per model, to pass as the ``model``
     of :func:`model_fingerprint`: the digest is the same as for the
-    model itself.  Walk a model before anything scores it — the walk
-    covers the whole instance state, prediction caches included.
+    model itself.
     """
     walked: dict[int, _Emit] = {}
     for model in models:

@@ -560,8 +560,6 @@ class ModelsGenerator:
             raise ForecastError(
                 f"strategy produced {len(models)} models for {len(times)} times"
             )
-        # walked before calibration scores a model: the fingerprint is
-        # of the fitted model, not of the prediction caches it builds
         walks = walk_models(models)
         reference = ForecastStrategy._recent_window(history, 2 * self.delta)
         future = []

@@ -1,5 +1,6 @@
 """Tests for the SQLite candidate store."""
 
+import sqlite3
 import threading
 
 import numpy as np
@@ -175,3 +176,129 @@ class TestAccessFold:
         assert scores["u1"] + leftover == pytest.approx(2.0)
         other.close()
         folder.close()
+
+
+#: one user per shard of a 4-shard store (crc32 placement)
+ONE_PER_SHARD = ("u2", "u4", "u1", "u5")
+
+
+class TestAccessLogPlacement:
+    """The access log is one table in the router's ``main`` schema, so
+    a flush is one commit to a file no shard replica opens."""
+
+    def sharded(self, schema, tmp_path, n_shards=4):
+        return CandidateStore(
+            schema, tmp_path / "c.db", backend="sharded", n_shards=n_shards
+        )
+
+    @staticmethod
+    def logged(store):
+        rows = store.read(
+            "SELECT user_id, question, accessed_at FROM main.access_log ORDER BY rowid"
+        )
+        return [tuple(r) for r in rows]
+
+    @staticmethod
+    def assert_no_shard_log(store):
+        for db in store.backend.schemas():
+            names = {r[0] for r in store.read(f"SELECT name FROM {db}.sqlite_master")}
+            assert "temporal_inputs" in names
+            assert not {"access_log", "idx_access_log_user"} & names
+
+    def test_flush_succeeds_while_every_shard_file_is_locked(self, schema, tmp_path):
+        store = self.sharded(schema, tmp_path)
+        assert sorted(store._db_for(u) for u in ONE_PER_SHARD) == list(
+            store.backend.schemas()
+        )
+        holders = [
+            sqlite3.connect(f"{tmp_path / 'c.db'}.shard{i}", isolation_level=None)
+            for i in range(4)
+        ]
+        try:
+            for holder in holders:
+                holder.execute("BEGIN EXCLUSIVE")
+            store.backend.conn.execute("PRAGMA busy_timeout = 200")
+            entries = [(user, "bundle", 100.0) for user in ONE_PER_SHARD]
+            assert store.record_accesses(entries) == 4
+            assert self.logged(store) == entries
+        finally:
+            for holder in holders:
+                holder.rollback()
+                holder.close()
+        store.close()
+
+    def test_flush_names_no_shard_schema(self, schema, tmp_path):
+        store = self.sharded(schema, tmp_path)
+        statements = []
+        store.backend.conn.set_trace_callback(statements.append)
+        try:
+            store.record_accesses([(user, "bundle", None) for user in ONE_PER_SHARD])
+        finally:
+            store.backend.conn.set_trace_callback(None)
+        assert any("access_log" in statement for statement in statements)
+        assert not [s for s in statements if "shard" in s.lower()]
+        store.close()
+
+    def test_fresh_store_has_no_access_log_in_any_shard(self, schema, tmp_path):
+        store = self.sharded(schema, tmp_path)
+        self.assert_no_shard_log(store)
+        store.close()
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite", "sharded"])
+    def test_unqualified_access_log_reads_on_every_backend(
+        self, schema, tmp_path, backend
+    ):
+        path = ":memory:" if backend == "memory" else tmp_path / "c.db"
+        store = CandidateStore(schema, path, backend=backend)
+        store.record_accesses([(user, "q1", 5.0) for user in ONE_PER_SHARD])
+        assert store.sql("SELECT COUNT(*) AS n FROM access_log")[0]["n"] == 4
+        store.close()
+
+    def test_logged_rows_survive_rebalance_and_fold_the_same(self, schema, tmp_path):
+        entries = [
+            (f"u{i}", "bundle", 1000.0 - 7.0 * i * j)
+            for i in range(1, 9)
+            for j in range(3)
+        ]
+        control = CandidateStore(schema)
+        control.record_accesses(entries)
+        expected = control.materialize_priorities(now=1000.0, halflife_seconds=60.0)
+        control.close()
+        store = self.sharded(schema, tmp_path, n_shards=2)
+        store.record_accesses(entries)
+        store.rebalance(4)
+        assert store.backend.n_shards == 4
+        assert self.logged(store) == entries
+        scores = store.materialize_priorities(now=1000.0, halflife_seconds=60.0)
+        assert scores == expected
+        assert store.user_priorities() == expected
+        store.close()
+
+    def test_pre_router_store_carries_its_shard_logs_over(self, schema, tmp_path):
+        """A store written when every shard held its own ``access_log``
+        reopens with those rows in the router's log and no shard table
+        left; the fold then gives TestAccessFeedback's roundtrip scores."""
+        self.sharded(schema, tmp_path).close()
+        now = 5000.0
+        old_rows = {
+            0: [("u2", "bundle", now)],
+            2: [("u1", "bundle", now), ("u1", "q1", now)],
+        }
+        for i, rows in old_rows.items():
+            shard = sqlite3.connect(f"{tmp_path / 'c.db'}.shard{i}")
+            shard.execute(
+                "CREATE TABLE access_log (user_id TEXT NOT NULL,"
+                " question TEXT NOT NULL, accessed_at REAL NOT NULL)"
+            )
+            shard.execute("CREATE INDEX idx_access_log_user ON access_log (user_id)")
+            shard.executemany("INSERT INTO access_log VALUES (?, ?, ?)", rows)
+            shard.commit()
+            shard.close()
+        store = CandidateStore(schema, tmp_path / "c.db")
+        assert store.backend.n_shards == 4
+        assert self.logged(store) == old_rows[0] + old_rows[2]
+        self.assert_no_shard_log(store)
+        merged = store.materialize_priorities(now=now, halflife_seconds=60.0)
+        assert merged["u1"] == pytest.approx(2.0)
+        assert merged["u2"] == pytest.approx(1.0)
+        store.close()

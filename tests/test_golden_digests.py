@@ -13,17 +13,22 @@ deliberately absent):
 * the fault-injection workload of ``tests/test_fault_injection.py``
   after an uninterrupted ``drain_stale_cells``, on sqlite and on the
   sharded backend;
-* John's running example as the CLI ``quickstart`` builds it.
+* John's running example as the CLI ``quickstart`` builds it;
+* the stdout of ``examples/five_rejected_applicants.py`` (the §III
+  demo), run in-process with the example's arguments.
 
 The digests hash float ``repr``s, so they are platform data: they were
 captured with Python 3.11.7 and NumPy 2.4.6.  To regenerate, run the
 workloads and edit the constants below; there is no switch for it.
 """
 
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
-from repro.app.cli import build_system
+from repro.app.cli import build_system, make_parser, run_demo
 from repro.constraints import lending_domain_constraints
 from repro.core import AdminConfig, JustInTime, drain_stale_cells
 from repro.data import (
@@ -44,6 +49,8 @@ FAULT_WORKLOAD_DRAIN = {
     "sharded": "1fc540a4d057e0405d1895935cc227cf3d283b1e37886b59b3cbf79fdb2c894e",
 }
 JOHN_QUICKSTART = "910148c9301efb781169b7b455ddd55761a9a6976994e53bff25b5d11861c55b"
+#: SHA-256 of the demo's stdout, not a store digest
+FIVE_REJECTED_DEMO = "6b9ebb0ce1a4ba5dcdce4592fd234c7ca30d923feb550d54f62ec06768c9fa28"
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +154,13 @@ def test_john_quickstart():
         user_constraints=["annual_income <= base_annual_income * 1.2"],
     )
     assert system.store.contents_digest() == JOHN_QUICKSTART
+
+
+def test_five_rejected_applicants_demo():
+    args = make_parser().parse_args(
+        ["--n-per-year", "150", "--horizon", "3", "--alpha", "0.55", "demo"]
+    )
+    out = io.StringIO()
+    run_demo(args, out)
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == FIVE_REJECTED_DEMO

@@ -157,6 +157,29 @@ class TestFingerprints:
                 model, fm.threshold, generator.strategy, 0
             )
 
+    def test_scoring_moves_no_fingerprint(self):
+        """Prediction caches hash as ``fit`` leaves them: a forest reads
+        the same fingerprint as fitted, after one ``decision_score``
+        and after ``split_thresholds()``, and so does a lone tree after
+        its own scoring."""
+        data = make_lending_dataset(n_per_year=40, random_state=1)
+        forest = RandomForestClassifier(n_estimators=5, random_state=0)
+        forest.fit(data.X, data.y)
+        tree = forest.trees_[0]
+        strategy = PerPeriodStrategy()
+
+        def fingerprints():
+            return [model_fingerprint(m, 0.5, strategy, 0) for m in (forest, tree)]
+
+        fitted = fingerprints()
+        forest.decision_score(data.X[:3])
+        assert fingerprints() == fitted
+        forest.split_thresholds()
+        assert fingerprints() == fitted
+        tree.decision_score(data.X[:3])
+        assert "_flat" in vars(tree) and tree._flat is not None
+        assert fingerprints() == fitted
+
     def test_content_fingerprint_canonical(self):
         assert content_fingerprint({"a": 1, "b": 2}) == content_fingerprint(
             {"b": 2, "a": 1}
