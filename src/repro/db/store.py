@@ -1746,7 +1746,9 @@ class CandidateStore:
         self, scores: dict[str, float], now: float | None = None
     ) -> None:
         """Directly upsert priority scores (tests, benchmarks, and
-        operators overriding the access-log feedback path)."""
+        operators overriding the access-log feedback path), in one
+        transaction with shards in ascending order, as
+        :meth:`_grouped_write` takes them."""
         if not scores:
             return
         now = float(self.clock_now() if now is None else now)
@@ -1755,8 +1757,8 @@ class CandidateStore:
             grouped.setdefault(self._db_for(str(user)), []).append(
                 (str(user), float(score), now)
             )
-        for db, rows in grouped.items():
-            with self._conn:
+        with self._conn:
+            for db, rows in sorted(grouped.items()):
                 self._conn.executemany(
                     f"INSERT INTO {db}.user_priority"
                     " (user_id, score, updated_at) VALUES (?, ?, ?)"
@@ -1773,9 +1775,10 @@ class CandidateStore:
     def escalate_cells(self, cells) -> None:
         """Mark cells as SLA-escalated: the claim scan orders them ahead
         of every score (``escalated DESC`` leads the ORDER BY), so a
-        cell stale past its SLA drains first regardless of traffic."""
-        for db, db_cells in self._cells_by_db(cells).items():
-            with self._conn:
+        cell stale past its SLA drains first regardless of traffic.
+        One transaction, shards in ascending order."""
+        with self._conn:
+            for db, db_cells in sorted(self._cells_by_db(cells).items()):
                 self._conn.executemany(
                     f"INSERT OR REPLACE INTO {db}.refresh_escalations"
                     " (user_id, time) VALUES (?, ?)",
@@ -1785,26 +1788,27 @@ class CandidateStore:
     def clear_escalations(self, cells=None) -> int:
         """Drop escalation marks — all of them (``cells=None``, e.g. at
         the top of an epoch before re-deriving the overdue set) or a
-        specific list.  Returns the number of rows removed."""
-        removed = 0
+        specific list — in one transaction, shards in ascending order.
+        Returns the number of rows removed."""
         if cells is None:
-            for db in self._backend.schemas():
-                with self._conn:
-                    cursor = self._conn.execute(
-                        f"DELETE FROM {db}.refresh_escalations"
-                    )
-                    removed += cursor.rowcount
-            return removed
-        for db, db_cells in self._cells_by_db(cells).items():
-            with self._conn:
-                for user_id, t in db_cells:
-                    cursor = self._conn.execute(
-                        f"DELETE FROM {db}.refresh_escalations"
-                        " WHERE user_id = ? AND time = ?",
-                        (user_id, t),
-                    )
-                    removed += cursor.rowcount
-        return removed
+            deletes = [
+                (f"DELETE FROM {db}.refresh_escalations", ())
+                for db in sorted(self._backend.schemas())
+            ]
+        else:
+            deletes = [
+                (
+                    f"DELETE FROM {db}.refresh_escalations"
+                    " WHERE user_id = ? AND time = ?",
+                    cell,
+                )
+                for db, db_cells in sorted(self._cells_by_db(cells).items())
+                for cell in db_cells
+            ]
+        with self._conn:
+            return sum(
+                self._conn.execute(sql, params).rowcount for sql, params in deletes
+            )
 
     def traffic_weighted_freshness(
         self, fingerprints: dict[int, str]

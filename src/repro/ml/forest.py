@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import UNSET, BaseClassifier, as_rng, check_X, check_X_y, check_fitted
-from repro.ml.tree import DecisionTreeClassifier, TreePack
+from repro.ml.tree import DecisionTreeClassifier, TreePack, grow_trees
 
 __all__ = ["RandomForestClassifier"]
 
@@ -82,24 +82,24 @@ class RandomForestClassifier(BaseClassifier):
         self.n_features_ = d
         rng = as_rng(self.random_state)
         self.trees_ = []
+        samples = []
+        for _ in range(self.n_estimators):
+            self.trees_.append(
+                DecisionTreeClassifier(
+                    criterion=self.criterion,
+                    max_depth=self.max_depth,
+                    min_samples_split=self.min_samples_split,
+                    min_samples_leaf=self.min_samples_leaf,
+                    max_features=self.max_features,
+                    random_state=int(rng.integers(0, 2**31 - 1)),
+                )
+            )
+            samples.append(rng.integers(0, n, size=n) if self.bootstrap else np.arange(n))
+        grow_trees(self.trees_, X, y, samples)
+        importances = np.zeros(d)
         oob_votes = np.zeros(n)
         oob_counts = np.zeros(n)
-        importances = np.zeros(d)
-        for _ in range(self.n_estimators):
-            tree = DecisionTreeClassifier(
-                criterion=self.criterion,
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-                random_state=int(rng.integers(0, 2**31 - 1)),
-            )
-            if self.bootstrap:
-                idx = rng.integers(0, n, size=n)
-            else:
-                idx = np.arange(n)
-            tree.fit(X[idx], y[idx])
-            self.trees_.append(tree)
+        for tree, idx in zip(self.trees_, samples):
             importances += tree.feature_importances_
             if self.bootstrap and self.oob_score:
                 oob_mask = np.ones(n, dtype=bool)

@@ -8,8 +8,13 @@ candidate-generation heuristic of Deutch & Frost proposes moves that cross
 specific split thresholds (see :mod:`repro.core.moves`).
 
 Splits are axis-aligned ``x[feature] <= threshold`` tests chosen to
-maximise impurity decrease (Gini by default, entropy optional).  Split
-finding is vectorised over candidate thresholds per feature.
+maximise impurity decrease (Gini by default, entropy optional).  One
+grower, :func:`grow_trees`, fits a lone tree and all the trees of a
+forest: it grows the trees in lock-step and searches every split of a
+step — all (node, drawn feature) pairs of all trees — in one vectorised
+pass, while each tree still splits its nodes, and draws their features
+on its own generator, in pre-order.  Fitted trees are scored through
+:class:`TreePack`, one descent over all trees' flattened nodes.
 """
 
 from __future__ import annotations
@@ -141,17 +146,7 @@ class DecisionTreeClassifier(BaseClassifier):
 
     def fit(self, X, y) -> "DecisionTreeClassifier":
         X, y = check_X_y(X, y)
-        self.n_features_ = X.shape[1]
-        self._rng = as_rng(self.random_state)
-        self._impurity = _IMPURITY[self.criterion]
-        importances = np.zeros(self.n_features_)
-        self.root_ = self._grow(X, y, depth=0, importances=importances)
-        total = importances.sum()
-        self.feature_importances_ = (
-            importances / total if total > 0 else importances
-        )
-        self.n_nodes_ = self._assign_ids()
-        self._flat = None
+        grow_trees([self], X, y, [np.arange(y.size)])
         return self
 
     def _n_split_features(self) -> int:
@@ -170,99 +165,6 @@ class DecisionTreeClassifier(BaseClassifier):
                 raise ValueError(f"int max_features must be in [1, {d}]")
             return mf
         raise ValueError(f"unsupported max_features: {mf!r}")
-
-    def _grow(
-        self, X: np.ndarray, y: np.ndarray, depth: int, importances: np.ndarray
-    ) -> TreeNode:
-        counts = np.bincount(y, minlength=2).astype(float)
-        node = TreeNode(
-            n_samples=y.size,
-            value=counts,
-            impurity=self._impurity(counts),
-            depth=depth,
-        )
-        if (
-            node.impurity == 0.0
-            or y.size < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-        ):
-            return node
-        split = self._best_split(X, y)
-        if split is None:
-            return node
-        feature, threshold, gain = split
-        mask = X[:, feature] <= threshold
-        importances[feature] += gain * y.size
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(X[mask], y[mask], depth + 1, importances)
-        node.right = self._grow(X[~mask], y[~mask], depth + 1, importances)
-        return node
-
-    def _best_split(
-        self, X: np.ndarray, y: np.ndarray
-    ) -> tuple[int, float, float] | None:
-        """Return ``(feature, threshold, impurity_gain)`` or ``None``."""
-        n = y.size
-        parent_impurity = self._impurity(np.bincount(y, minlength=2).astype(float))
-        features = np.arange(self.n_features_)
-        k = self._n_split_features()
-        if k < self.n_features_:
-            features = self._rng.choice(features, size=k, replace=False)
-        best: tuple[int, float, float] | None = None
-        use_gini = self.criterion == "gini"
-        for feature in features:
-            col = X[:, feature]
-            order = np.argsort(col, kind="stable")
-            col_sorted = col[order]
-            y_sorted = y[order]
-            # candidate split positions: where consecutive values differ
-            diff = np.nonzero(np.diff(col_sorted))[0]
-            if diff.size == 0:
-                continue
-            # left sizes are diff + 1
-            left_n = diff + 1
-            right_n = n - left_n
-            valid = (left_n >= self.min_samples_leaf) & (
-                right_n >= self.min_samples_leaf
-            )
-            if not valid.any():
-                continue
-            pos_cum = np.cumsum(y_sorted)
-            left_pos = pos_cum[diff].astype(float)
-            left_neg = left_n - left_pos
-            total_pos = pos_cum[-1]
-            right_pos = total_pos - left_pos
-            right_neg = right_n - right_pos
-            if use_gini:
-                left_imp = 1.0 - (
-                    (left_pos / left_n) ** 2 + (left_neg / left_n) ** 2
-                )
-                right_imp = 1.0 - (
-                    (right_pos / right_n) ** 2 + (right_neg / right_n) ** 2
-                )
-            else:
-                left_imp = _entropy_vec(left_pos, left_neg)
-                right_imp = _entropy_vec(right_pos, right_neg)
-            weighted = (left_n * left_imp + right_n * right_imp) / n
-            weighted[~valid] = np.inf
-            best_idx = int(np.argmin(weighted))
-            gain = parent_impurity - weighted[best_idx]
-            if gain <= 1e-12:
-                continue
-            lo = col_sorted[diff[best_idx]]
-            hi = col_sorted[diff[best_idx] + 1]
-            threshold = (lo + hi) / 2.0
-            if best is None or gain > best[2]:
-                best = (int(feature), float(threshold), float(gain))
-        return best
-
-    def _assign_ids(self) -> int:
-        next_id = 0
-        for node in self.root_.iter_nodes():
-            node.node_id = next_id
-            next_id += 1
-        return next_id
 
     # -------------------------------------------------------------- predict
 
@@ -325,6 +227,253 @@ class DecisionTreeClassifier(BaseClassifier):
         if self.root_ is None:
             raise ValidationError("tree is not fitted")
         return [node for node in self.root_.iter_nodes() if node.is_leaf]
+
+
+def grow_trees(trees, X: np.ndarray, y: np.ndarray, samples) -> None:
+    """Fit ``trees`` in lock-step: tree ``j`` grows on rows ``samples[j]``
+    of the validated ``X``/``y``.
+
+    The trees share one configuration (a forest's, or a lone tree's).
+    Each tree keeps a stack of the nodes it has still to split, and every
+    step pops nodes off all unfinished trees' stacks and searches their
+    splits at once (:func:`_best_splits`).  A tree that draws split
+    features pops one node a step, so it searches its nodes in
+    pre-order and its generator sees the draws in the order a recursive
+    grower makes them; a tree that examines every feature draws nothing
+    and pops its whole stack.  A new node whose class counts, size or
+    depth rule a split out is a leaf at once and never waits on a
+    stack, so it costs no step of its own.  Node ids and feature
+    importances are assigned in one pre-order walk of each tree at the
+    end, so they too come in the recursive order.  Per node remain the
+    node object, the draw and the partition of its rows; every float is
+    computed by the same operations on the same operands as a search over
+    one node and one feature at a time, so the trees are identical.
+    """
+    n_features = X.shape[1]
+    flat_X = X.ravel()
+    # each value's dense rank in its column: equal values share a rank,
+    # so a stable sort by (segment, rank) is a stable sort by value
+    rank = np.empty(X.shape, dtype=np.int64)
+    for f in range(n_features):
+        rank[:, f] = np.unique(X[:, f], return_inverse=True)[1]
+    flat_rank = rank.ravel()
+    n_ranks = int(flat_rank.max()) + 1
+    spec = trees[0]
+    gini = spec.criterion == "gini"
+    features = np.arange(n_features)
+    n_drawn = None  # validated at the first split search, not before
+    for tree in trees:
+        tree.n_features_ = n_features
+        tree._rng = as_rng(tree.random_state)
+        tree._impurity = _IMPURITY[tree.criterion]
+    #: nodes to split, per tree: (tree index, rows, node)
+    stacks: list[list] = [[] for _ in trees]
+    #: id(node) -> the node's importance increment, gain x samples
+    weighted_gain: dict[int, float] = {}
+    #: nodes to create: (tree index, rows, depth, parent, is a left child)
+    new = [(j, rows, 0, None, False) for j, rows in enumerate(samples)]
+    while True:
+        if new:
+            for (j, rows, _, parent, is_left), node, splittable in zip(
+                new, *_new_nodes(new, y, gini, spec)
+            ):
+                if parent is None:
+                    trees[j].root_ = node
+                elif is_left:
+                    parent.left = node
+                else:
+                    parent.right = node
+                if splittable:
+                    stacks[j].append((j, rows, node))
+        live = [stack for stack in stacks if stack]
+        if not live:
+            break
+        if n_drawn is None:
+            n_drawn = spec._n_split_features()
+        if n_drawn == n_features:
+            popped = [entry for stack in live for entry in stack]
+            for stack in live:
+                stack.clear()
+            drawn = np.tile(features, (len(popped), 1))
+        else:
+            popped = [stack.pop() for stack in live]
+            drawn = np.array([
+                trees[j]._rng.choice(features, size=n_drawn, replace=False)
+                for j, _, _ in popped
+            ])
+        new = []
+        for i, feature, threshold, gain in _best_splits(
+            flat_X, flat_rank, n_ranks, n_features, y, popped, drawn,
+            spec.min_samples_leaf, gini,
+        ):
+            j, rows, node = popped[i]
+            node.feature = feature
+            node.threshold = threshold
+            weighted_gain[id(node)] = gain * node.n_samples
+            left = flat_X[rows * n_features + feature] <= threshold
+            # the right child is stacked first, so the left one is split first
+            new.append((j, rows[~left], node.depth + 1, node, False))
+            new.append((j, rows[left], node.depth + 1, node, True))
+    for tree in trees:
+        importances = np.zeros(n_features)
+        node_id = 0
+        walk = [tree.root_]
+        while walk:
+            node = walk.pop()
+            node.node_id = node_id
+            node_id += 1
+            if node.feature is not None:
+                importances[node.feature] += weighted_gain[id(node)]
+                walk.append(node.right)
+                walk.append(node.left)
+        total = importances.sum()
+        tree.feature_importances_ = importances / total if total > 0 else importances
+        tree.n_nodes_ = node_id
+        tree._flat = None
+
+
+def _stable_order(key: np.ndarray, bound: int) -> np.ndarray:
+    """Stable ``argsort`` of an integer ``key`` in ``[0, bound)``: a least
+    significant digit first radix sort, 16 bits a pass (NumPy sorts
+    16-bit integers stably by radix)."""
+    order = np.argsort(key.astype(np.uint16), kind="stable")
+    shift = 16
+    while (bound - 1) >> shift:
+        digit = (key[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
+def _run_starts(ids: np.ndarray) -> np.ndarray:
+    """True where a run of equal values in ``ids`` starts."""
+    starts = np.empty(ids.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=starts[1:])
+    return starts
+
+
+def _new_nodes(new, y, gini, spec) -> tuple[list[TreeNode], list[bool]]:
+    """The nodes for ``new``'s ``(tree, rows, depth, ...)`` entries, each
+    with its class counts and impurity, and whether each may be split."""
+    sizes = [rows.size for _, rows, *_ in new]
+    owner = np.arange(len(new)).repeat(sizes)
+    labels = y[np.concatenate([rows for _, rows, *_ in new])]
+    counts = np.bincount(2 * owner + labels, minlength=2 * len(new))
+    counts = counts.reshape(-1, 2).astype(float)
+    impurity = _node_impurity(counts, gini)
+    depths = [depth for _, _, depth, *_ in new]
+    splittable = (impurity != 0.0) & (np.array(sizes) >= spec.min_samples_split)
+    if spec.max_depth is not None:
+        splittable &= np.array(depths) < spec.max_depth
+    nodes = [
+        TreeNode(
+            n_samples=size,
+            value=value.copy(),
+            impurity=node_impurity,
+            depth=depth,
+        )
+        for size, value, node_impurity, depth in zip(
+            sizes, counts, impurity.tolist(), depths
+        )
+    ]
+    return nodes, splittable.tolist()
+
+
+def _node_impurity(counts: np.ndarray, gini: bool) -> np.ndarray:
+    """:func:`_gini` or :func:`_entropy` of each row of class counts, with
+    the same operations (a pure node's entropy is ``-0.0`` there too)."""
+    total = counts[:, 0] + counts[:, 1]
+    # an empty node (possible when a threshold rounds onto a value) is 0
+    p = counts / np.maximum(total, 1.0)[:, None]
+    if gini:
+        impurity = 1.0 - (p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1])
+    else:
+        terms = p * np.log2(np.where(p > 0, p, 1.0))
+        impurity = -(terms[:, 0] + terms[:, 1])
+    return np.where(total > 0, impurity, 0.0)
+
+
+def _best_splits(
+    flat_X, flat_rank, n_ranks, n_features, y, popped, drawn, min_samples_leaf, gini
+) -> list[tuple[int, int, float, float]]:
+    """``(i, feature, threshold, gain)`` for each node ``popped[i] = (tree,
+    rows, node)`` that has a split on one of its features ``drawn[i]``.
+
+    Each (node, feature) pair is one segment of a single array: one
+    stable sort by (segment, value rank) orders every segment as the
+    column's stable ``argsort`` would, segment-local cumulative counts
+    give each candidate's class counts, and the per-candidate impurity
+    expressions, the first argmin per segment and the choice of feature
+    (largest gain above ``1e-12``, the earliest drawn on ties) are the
+    ones a search over one node and one feature at a time makes.
+    """
+    size = np.array([rows.size for _, rows, _ in popped])
+    impurity = np.array([node.impurity for _, _, node in popped])
+    k = drawn.shape[1]
+    seg_size = size.repeat(k)
+    seg_end = seg_size.cumsum()
+    seg_start = seg_end - seg_size
+    segment = np.arange(seg_size.size).repeat(seg_size)
+    # entry e of segment s is row e - seg_start[s] of node s // k
+    node_start = size.cumsum() - size
+    row = np.concatenate([rows for _, rows, _ in popped])[
+        np.arange(seg_end[-1]) + (node_start.repeat(k) - seg_start).repeat(seg_size)
+    ]
+    cell = row * n_features + drawn.ravel()[segment]
+    key = segment * n_ranks + flat_rank[cell]
+    order = _stable_order(key, seg_size.size * n_ranks)
+    key, cell = key[order], cell[order]
+    pos_cum = np.zeros(key.size + 1, dtype=np.int64)
+    y[row[order]].cumsum(out=pos_cum[1:])
+    # candidate split positions: where consecutive values of a segment
+    # differ, i.e. their ranks do
+    differ = key[1:] != key[:-1]
+    differ[seg_end[:-1] - 1] = False
+    cand = differ.nonzero()[0]
+    if not cand.size:
+        return []
+    cand_seg = segment[cand]
+    left_n = cand - seg_start[cand_seg] + 1
+    n = seg_size[cand_seg]
+    right_n = n - left_n
+    valid = (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
+    left_pos = (pos_cum[cand + 1] - pos_cum[seg_start[cand_seg]]).astype(float)
+    left_neg = left_n - left_pos
+    total_pos = (pos_cum[seg_end] - pos_cum[seg_start])[cand_seg]
+    right_pos = total_pos - left_pos
+    right_neg = right_n - right_pos
+    if gini:
+        left_imp = 1.0 - ((left_pos / left_n) ** 2 + (left_neg / left_n) ** 2)
+        right_imp = 1.0 - ((right_pos / right_n) ** 2 + (right_neg / right_n) ** 2)
+    else:
+        left_imp = _entropy_vec(left_pos, left_neg)
+        right_imp = _entropy_vec(right_pos, right_neg)
+    weighted = (left_n * left_imp + right_n * right_imp) / n
+    weighted[~valid] = np.inf
+    # the first argmin of each segment that has a candidate
+    starts = _run_starts(cand_seg)
+    seg_min = np.minimum.reduceat(weighted, starts.nonzero()[0])
+    hit = (weighted == seg_min[starts.cumsum() - 1]).nonzero()[0]
+    hit = hit[_run_starts(cand_seg[hit])]
+    found, best = cand_seg[hit], cand[hit]
+    gain = np.empty(seg_size.size)
+    gain.fill(-np.inf)
+    gain[found] = impurity[found // k] - weighted[hit]
+    threshold = np.zeros(seg_size.size)
+    threshold[found] = (flat_X[cell[best]] + flat_X[cell[best + 1]]) / 2.0
+    # per node, the first drawn feature whose gain is largest and > 1e-12
+    gain = gain.reshape(-1, k)
+    eligible = gain > 1e-12
+    pick = np.where(eligible, gain, -np.inf).argmax(axis=1)
+    split = eligible[np.arange(pick.size), pick].nonzero()[0]
+    seg = split * k + pick[split]
+    return list(zip(
+        split.tolist(),
+        drawn.ravel()[seg].tolist(),
+        threshold[seg].tolist(),
+        gain.ravel()[seg].tolist(),
+    ))
 
 
 class TreePack:

@@ -17,7 +17,12 @@ walks plain Python/numpy structures in a canonical order (dict keys
 sorted, arrays as dtype + shape + raw bytes, objects as class name +
 ``__dict__``/``__slots__``), so the digest is reproducible across
 processes.  The walk is iterative (explicit stack), so arbitrarily deep
-models — e.g. depth-unbounded decision trees — hash fine.
+models — e.g. depth-unbounded decision trees — hash fine.  Tree nodes,
+most of a forest's bytes, go through a specialised encoder: a
+:class:`~repro.ml.tree.TreeNode` with a fitted node's fields and field
+types is written straight from its ``__dict__``, in the generic walk's
+key order and with the same bytes, its subtrees in place; any other node
+takes the generic path.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import types
 import numpy as np
 
 from repro.ml.base import UNSET
+from repro.ml.tree import TreeNode
 
 __all__ = ["canonical_bytes", "content_fingerprint", "model_fingerprint", "walk_models"]
 
@@ -68,6 +74,51 @@ def _object_state(obj) -> dict:
     return state
 
 
+def _array_bytes(item: np.ndarray) -> bytes:
+    arr = np.ascontiguousarray(item)
+    return f"a{arr.dtype.str}{arr.shape}".encode() + arr.tobytes()
+
+
+def _node_parts(state: dict):
+    """``(depth bytes, rest bytes)`` of a :class:`TreeNode` whose instance
+    state has a fitted node's fields and field types, else ``None``.
+
+    The generic walk writes a node as its tag and a dict of nine entries
+    sorted by key bytes — ``left, depth, right, value, feature, node_id,
+    impurity, n_samples, threshold`` — and these are the same bytes:
+    the subtrees go between them.
+    """
+    if state.keys() != _NODE_FIELDS:
+        return None
+    feature, threshold = state["feature"], state["threshold"]
+    n_samples, depth, node_id = state["n_samples"], state["depth"], state["node_id"]
+    impurity, value = state["impurity"], state["value"]
+    if not (
+        type(n_samples) is int
+        and type(depth) is int
+        and type(node_id) is int
+        and type(impurity) is float
+        and type(value) is np.ndarray
+        and (feature is None or type(feature) is int)
+        and (threshold is None or type(threshold) is float)
+    ):
+        return None
+    return (
+        b"s5:depthi%ds5:right" % depth,
+        b"".join((
+            b"s5:value",
+            _array_bytes(value),
+            b"s7:featureN" if feature is None else b"s7:featurei%d" % feature,
+            b"s7:node_idi%d" % node_id,
+            b"s8:impurityf",
+            repr(impurity + 0.0).encode(),
+            b"s9:n_samplesi%d" % n_samples,
+            b"s9:thresholdN" if threshold is None
+            else b"s9:thresholdf" + repr(threshold + 0.0).encode(),
+        )),
+    )
+
+
 def canonical_bytes(obj) -> bytes:
     """Serialise ``obj`` to canonical bytes for hashing.
 
@@ -84,6 +135,17 @@ def canonical_bytes(obj) -> bytes:
         if type(item) is _Emit:
             out += item.data
             continue
+        if type(item) is TreeNode:
+            parts = _node_parts(item.__dict__)
+            if parts is not None:
+                middle, rest = parts
+                left, right = item.left, item.right
+                if left is None and right is None:
+                    out += _NODE_HEAD + b"N" + middle + b"N" + rest
+                else:
+                    out += _NODE_HEAD
+                    stack += (_Emit(rest), right, _Emit(middle), left)
+                continue
         if item is None:
             out += b"N"
         elif isinstance(item, bool):
@@ -99,8 +161,7 @@ def canonical_bytes(obj) -> bytes:
         elif isinstance(item, bytes):
             out += b"y" + str(len(item)).encode() + b":" + item
         elif isinstance(item, np.ndarray):
-            arr = np.ascontiguousarray(item)
-            out += f"a{arr.dtype.str}{arr.shape}".encode() + arr.tobytes()
+            out += _array_bytes(item)
         elif isinstance(item, (list, tuple)):
             out += b"l" + str(len(item)).encode()
             stack.extend(reversed(item))
@@ -136,6 +197,22 @@ def canonical_bytes(obj) -> bytes:
             stack.append(state)
             stack.append(_Emit(canonical_bytes(tag)))
     return bytes(out)
+
+
+#: the fields :func:`_node_parts` writes; a renamed or added field sends
+#: every node down the generic path, never to wrong bytes
+_NODE_FIELDS = frozenset((
+    "n_samples", "value", "impurity", "depth", "feature", "threshold",
+    "left", "right", "node_id",
+))
+#: a node's bytes up to its left subtree: object tag, class name, a dict
+#: of nine entries and the first key
+_NODE_HEAD = (
+    b"o"
+    + canonical_bytes(f"{TreeNode.__module__}.{TreeNode.__qualname__}")
+    + b"d18"
+    + canonical_bytes("left")
+)
 
 
 def content_fingerprint(*parts) -> str:

@@ -302,3 +302,86 @@ class TestAccessLogPlacement:
         assert merged["u1"] == pytest.approx(2.0)
         assert merged["u2"] == pytest.approx(1.0)
         store.close()
+
+
+class TestPriorityWriters:
+    """``set_user_priorities``, ``escalate_cells`` and
+    ``clear_escalations`` each apply as one transaction, shards in
+    ascending order, as a bulk write does."""
+
+    CELLS = [(user, t) for user in ONE_PER_SHARD for t in (0, 1)]
+
+    def sharded(self, schema, tmp_path):
+        store = CandidateStore(schema, tmp_path / "c.db", backend="sharded", n_shards=4)
+        assert sorted(store._db_for(u) for u in ONE_PER_SHARD) == list(
+            store.backend.schemas()
+        )
+        return store
+
+    @staticmethod
+    def traced(store, call):
+        statements = []
+        store.backend.conn.set_trace_callback(statements.append)
+        try:
+            result = call()
+        finally:
+            store.backend.conn.set_trace_callback(None)
+        verbs = [statement.split()[0].upper() for statement in statements]
+        shards = [
+            word.split(".")[0]
+            for statement in statements
+            for word in statement.split()
+            if word.startswith("shard")
+        ]
+        # every shard written, each shard's statements before the next's
+        assert shards == sorted(shards)
+        assert set(shards) == set(store.backend.schemas())
+        return verbs.count("COMMIT"), result
+
+    @staticmethod
+    def escalations(store):
+        rows = store.read("SELECT user_id, time FROM refresh_escalations")
+        return sorted(tuple(r) for r in rows)
+
+    def test_each_call_commits_once_over_every_shard(self, schema, tmp_path):
+        store = self.sharded(schema, tmp_path)
+        scores = {user: 1.0 for user in ONE_PER_SHARD}
+        traced = self.traced
+        assert traced(store, lambda: store.set_user_priorities(scores, now=10.0))[0] == 1
+        assert traced(store, lambda: store.escalate_cells(self.CELLS))[0] == 1
+        assert traced(store, lambda: store.clear_escalations(self.CELLS[::2])) == (1, 4)
+        assert traced(store, store.clear_escalations) == (1, 4)
+        assert self.escalations(store) == []
+        store.close()
+
+    @pytest.mark.parametrize(
+        "writer", ["set_user_priorities", "escalate_cells", "clear_escalations"]
+    )
+    def test_a_failing_last_shard_leaves_every_shard_unchanged(
+        self, schema, tmp_path, writer
+    ):
+        store = self.sharded(schema, tmp_path)
+        store.set_user_priorities({user: 2.0 for user in ONE_PER_SHARD}, now=5.0)
+        store.escalate_cells(self.CELLS[::2])
+        before = (store.user_priorities(), self.escalations(store))
+        last = store.backend.schemas()[-1]
+        table, event = {
+            "set_user_priorities": ("user_priority", "INSERT"),
+            "escalate_cells": ("refresh_escalations", "INSERT"),
+            "clear_escalations": ("refresh_escalations", "DELETE"),
+        }[writer]
+        store.backend.conn.execute(
+            f"CREATE TRIGGER {last}.fail BEFORE {event} ON {table}"
+            " BEGIN SELECT RAISE(ABORT, 'injected'); END"
+        )
+        call = {
+            "set_user_priorities": lambda: store.set_user_priorities(
+                {user: 9.0 for user in ONE_PER_SHARD}, now=50.0
+            ),
+            "escalate_cells": lambda: store.escalate_cells(self.CELLS),
+            "clear_escalations": store.clear_escalations,
+        }[writer]
+        with pytest.raises(sqlite3.DatabaseError, match="injected"):
+            call()
+        assert (store.user_priorities(), self.escalations(store)) == before
+        store.close()

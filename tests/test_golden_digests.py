@@ -15,7 +15,12 @@ deliberately absent):
   sharded backend;
 * John's running example as the CLI ``quickstart`` builds it;
 * the stdout of ``examples/five_rejected_applicants.py`` (the §III
-  demo), run in-process with the example's arguments.
+  demo), run in-process with the example's arguments;
+* one ``RefreshOrchestrator`` epoch under strategy ``last`` over a
+  scripted drift batch, drained by one worker process under one
+  whole-epoch claim on the sharded store, as the repo benchmark's cohort
+  cycle runs it: the refit's model fingerprints and the store after the
+  epoch.
 
 The digests hash float ``repr``s, so they are platform data: they were
 captured with Python 3.11.7 and NumPy 2.4.6.  To regenerate, run the
@@ -31,12 +36,14 @@ import pytest
 from repro.app.cli import build_system, make_parser, run_demo
 from repro.constraints import lending_domain_constraints
 from repro.core import AdminConfig, JustInTime, drain_stale_cells
+from repro.core.orchestrator import RefreshOrchestrator
 from repro.data import (
     LendingGenerator,
     TemporalDataset,
     john_profile,
     make_lending_dataset,
 )
+from repro.data.feed import IteratorFeed
 from repro.temporal import PerPeriodStrategy, lending_update_function
 
 FUSED_WORKLOAD = {
@@ -51,6 +58,11 @@ FAULT_WORKLOAD_DRAIN = {
 JOHN_QUICKSTART = "910148c9301efb781169b7b455ddd55761a9a6976994e53bff25b5d11861c55b"
 #: SHA-256 of the demo's stdout, not a store digest
 FIVE_REJECTED_DEMO = "6b9ebb0ce1a4ba5dcdce4592fd234c7ca30d923feb550d54f62ec06768c9fa28"
+#: the refit's ``model_fingerprints`` and the store digest after the epoch
+ORCHESTRATOR_EPOCH = {
+    "fingerprints": {t: "3f7c25ef708781b2" for t in range(3)},
+    "digest": "3b66105d02261bd9b852d70ef449afd4bf1afedc5e476e60c4c744e0fdcdb03e",
+}
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +176,60 @@ def test_five_rejected_applicants_demo():
     run_demo(args, out)
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert digest == FIVE_REJECTED_DEMO
+
+
+def test_orchestrator_epoch_last(schema, history, tmp_path):
+    db = tmp_path / "c.db"
+    system = JustInTime(
+        schema,
+        lending_update_function(schema),
+        AdminConfig(
+            T=2,
+            strategy="last",
+            k=4,
+            beam_width=6,
+            max_iter=8,
+            patience=3,
+            random_state=11,
+        ),
+        domain_constraints=lending_domain_constraints(schema),
+        store_path=str(db),
+        store_backend="sharded",
+    )
+    system.fit(history)
+    rng = np.random.default_rng(5)
+    base = schema.vector(john_profile())
+    users = [
+        (
+            f"user-{i:02d}",
+            schema.clip(base * rng.uniform(0.9, 1.1, size=base.size)),
+            ["monthly_debt <= 900"] if i % 2 else None,
+        )
+        for i in range(4)
+    ]
+    system.create_sessions(users)
+    # arrivals at the latest timestamp: under ``last`` they retrain the
+    # one model every time point shares, so every cell goes stale
+    generator = LendingGenerator(random_state=99)
+    X = generator.sample_profiles(30)
+    years = np.full(30, float(history.span[1]))
+    batch = TemporalDataset(X, generator.label(X, years), years, history.schema)
+    n_cells = len(users) * 3
+    orchestrator = RefreshOrchestrator(
+        system,
+        IteratorFeed([batch]),
+        system_path=tmp_path / "system.pkl",
+        db_path=db,
+        db_backend="sharded",
+        n_workers=1,
+        cadence=0.0,
+        claim_batch=n_cells,
+    )
+    epochs = orchestrator.run(max_epochs=1)
+    assert len(epochs) == 1
+    assert epochs[0].report.cells_recomputed == n_cells
+    assert system.model_fingerprints == ORCHESTRATOR_EPOCH["fingerprints"]
+    assert system.store.stale_cells(system.model_fingerprints) == []
+    assert system.store.contents_digest() == ORCHESTRATOR_EPOCH["digest"]
+    assert epochs[0].report.store_digest == ORCHESTRATOR_EPOCH["digest"]
+    system.store.close()
