@@ -113,8 +113,10 @@ class BatchEvalContext:
     """Array-valued bindings: one evaluation over ``n`` candidate rows.
 
     ``features`` and the per-row entries of ``special`` (diff, gap,
-    confidence) bind ``(n,)`` arrays; ``base`` and ``time`` are scalars
-    shared by every row and broadcast by NumPy.
+    confidence) bind ``(n,)`` arrays; ``time`` is a scalar shared by
+    every row and broadcast by NumPy.  ``base`` binds scalars when every
+    row has the same base row, or ``(n,)`` arrays when the rows come
+    from different cells, each measured against its own base row.
     """
 
     features: dict[str, np.ndarray]
@@ -134,6 +136,22 @@ class BatchEvalContext:
         raise ConstraintError(
             f"unknown identifier {name!r}; known features:"
             f" {sorted(self.features)}, specials: {sorted(self.special)}"
+        )
+
+    def take(self, rows: "slice | np.ndarray") -> "BatchEvalContext":
+        """The context of the rows ``rows`` (a slice or an index array)."""
+
+        def pick(bindings: dict) -> dict:
+            return {
+                name: value[rows] if isinstance(value, np.ndarray) else value
+                for name, value in bindings.items()
+            }
+
+        return BatchEvalContext(
+            features=pick(self.features),
+            base=pick(self.base),
+            special=pick(self.special),
+            n=len(range(self.n)[rows]) if isinstance(rows, slice) else len(rows),
         )
 
     def broadcast(self, result) -> np.ndarray:

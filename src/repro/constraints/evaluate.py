@@ -39,6 +39,7 @@ __all__ = [
     "l0_gap_batch",
     "ScopedConstraint",
     "ConstraintsFunction",
+    "grouped_violation_counts",
 ]
 
 _GAP_TOLERANCE = 1e-9
@@ -71,22 +72,33 @@ def l2_diff(x_prime, x, scale=None) -> float:
     return float(np.sqrt(np.sum(delta * delta)))
 
 
+def _base_rows(X_prime, x, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``X_prime`` as an ``(n, d)`` matrix and ``x`` as either one base row
+    ``(d,)`` shared by every candidate or an ``(n, d)`` matrix of per-row
+    base rows (the fused engine measures many cells' rows at once)."""
+    X_prime = np.atleast_2d(np.asarray(X_prime, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if x.size == X_prime.shape[1]:
+        x = x.ravel()
+    elif x.shape != X_prime.shape:
+        raise ConstraintError(
+            f"shape mismatch in {what}: {X_prime.shape} vs {x.shape}"
+        )
+    return X_prime, x
+
+
 def l2_diff_batch(X_prime, x, scale=None) -> np.ndarray:
-    """Row-wise :func:`l2_diff` of an ``(n, d)`` candidate matrix.
+    """Row-wise :func:`l2_diff` of an ``(n, d)`` candidate matrix against
+    one base row ``x`` or an ``(n, d)`` matrix of per-row base rows.
 
     Bit-identical to calling :func:`l2_diff` on each row (same pairwise
     summation order).
     """
-    X_prime = np.atleast_2d(np.asarray(X_prime, dtype=float))
-    x = np.asarray(x, dtype=float).ravel()
-    if X_prime.shape[1] != x.shape[0]:
-        raise ConstraintError(
-            f"shape mismatch in diff: {X_prime.shape} vs {x.shape}"
-        )
+    X_prime, x = _base_rows(X_prime, x, "diff")
     delta = X_prime - x
     if scale is not None:
         scale = np.asarray(scale, dtype=float).ravel()
-        if scale.shape != x.shape:
+        if scale.shape != X_prime.shape[1:]:
             raise ConstraintError("scale shape mismatch")
         if (scale <= 0).any():
             raise ConstraintError("scale entries must be positive")
@@ -95,13 +107,9 @@ def l2_diff_batch(X_prime, x, scale=None) -> np.ndarray:
 
 
 def l0_gap_batch(X_prime, x) -> np.ndarray:
-    """Row-wise :func:`l0_gap` of an ``(n, d)`` candidate matrix."""
-    X_prime = np.atleast_2d(np.asarray(X_prime, dtype=float))
-    x = np.asarray(x, dtype=float).ravel()
-    if X_prime.shape[1] != x.shape[0]:
-        raise ConstraintError(
-            f"shape mismatch in gap: {X_prime.shape} vs {x.shape}"
-        )
+    """Row-wise :func:`l0_gap` of an ``(n, d)`` candidate matrix against
+    one base row or per-row base rows (as :func:`l2_diff_batch`)."""
+    X_prime, x = _base_rows(X_prime, x, "gap")
     return np.sum(np.abs(X_prime - x) > _GAP_TOLERANCE, axis=1)
 
 
@@ -288,13 +296,18 @@ class ConstraintsFunction:
 
         ``confidence`` is the ``(n,)`` vector of model scores.  Feature
         bindings are column views of ``X_prime`` — no per-row dicts.
-        Callers that already measured the candidates (the search loop)
-        can pass ``diff``/``gap`` arrays to skip recomputing them.
+        ``x_base`` is one base row shared by every candidate or an
+        ``(n, d)`` matrix of per-row base rows, whose ``base_`` bindings
+        are then column views too.  Callers that already measured the
+        candidates (the search loop) can pass ``diff``/``gap`` arrays to
+        skip recomputing them.
         """
         X_prime = np.atleast_2d(np.asarray(X_prime, dtype=float))
-        x_base = np.asarray(x_base, dtype=float).ravel()
+        x_base = np.asarray(x_base, dtype=float)
         n, d = X_prime.shape
-        if d != len(self.schema) or x_base.size != d:
+        if d != len(self.schema) or (
+            x_base.size != d and x_base.shape != X_prime.shape
+        ):
             raise ConstraintError(
                 f"batch shape {X_prime.shape} does not match schema"
                 f" ({len(self.schema)} features)"
@@ -305,9 +318,14 @@ class ConstraintsFunction:
                 f"confidence has {confidence.size} entries, expected {n}"
             )
         names = self.schema.names
+        if x_base.size == d:
+            x_base = x_base.ravel()
+            base = {name: float(x_base[i]) for i, name in enumerate(names)}
+        else:
+            base = {name: x_base[:, i] for i, name in enumerate(names)}
         return BatchEvalContext(
             features={name: X_prime[:, i] for i, name in enumerate(names)},
-            base={name: float(x_base[i]) for i, name in enumerate(names)},
+            base=base,
             special={
                 "diff": (
                     l2_diff_batch(X_prime, x_base, self.diff_scale)
@@ -361,11 +379,7 @@ class ConstraintsFunction:
         ctx = self.batch_context(
             X_prime, x_base, confidence=confidence, time=time, diff=diff, gap=gap
         )
-        counts = np.zeros(ctx.n, dtype=np.int64)
-        for c in self._constraints:
-            if c.applies_at(time):
-                counts += ~ctx.broadcast(c.expr.evaluate_batch(ctx))
-        return counts
+        return grouped_violation_counts(ctx, [self], [ctx.n], time)
 
     def is_valid(
         self,
@@ -405,3 +419,82 @@ class ConstraintsFunction:
         return ConstraintsFunction(
             schema, [ScopedConstraint(TrueExpr(), None, "true")]
         )
+
+
+def _violated(expr: BoolExpr, ctx: BatchEvalContext) -> np.ndarray:
+    return ~ctx.broadcast(expr.evaluate_batch(ctx))
+
+
+def grouped_violation_counts(
+    ctx: BatchEvalContext, functions, sizes, time: int
+) -> np.ndarray:
+    """Per-row violated-constraint counts of stacked rows held by several
+    constraints functions: the first ``sizes[0]`` rows of ``ctx`` are
+    counted against ``functions[0]``, the next ``sizes[1]`` against
+    ``functions[1]``, and so on.
+
+    Each distinct :class:`ScopedConstraint` object is evaluated once,
+    over the rows of the functions that hold it (the domain constraints
+    that :meth:`ConstraintsFunction.conjoin` shares between users are
+    evaluated once for all of them); one listed twice counts twice.
+    Equal to ``violation_counts_batch`` per function, ``ConstraintError``
+    included: ``And``/``Or`` skip an operand only when *every* row allows
+    it, so a stacked evaluation can reach a constant-zero divisor that no
+    single function's rows reach — then the constraint is re-evaluated
+    per function, where a divisor that is reached raises.
+    """
+    bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))).tolist()
+    # constraint id -> [constraint, index of each function holding it]
+    held: dict[int, list] = {}
+    for j, function in enumerate(functions):
+        for c in function._constraints:
+            entry = held.get(id(c))
+            if entry is None:
+                held[id(c)] = [c, j]
+            else:
+                entry.append(j)
+    counts = np.zeros(ctx.n, dtype=np.int64)
+    views: dict[tuple, tuple] = {}
+    for c, *holders in held.values():
+        if not c.applies_at(time):
+            continue
+        key = tuple(holders)
+        if key not in views:
+            views[key] = _holder_view(ctx, bounds, holders)
+        rows, sub, weight = views[key]
+        try:
+            violated = _violated(c.expr, sub)
+        except ConstraintError:
+            spans = [
+                (bounds[j], bounds[j + 1])
+                for j in dict.fromkeys(holders)
+                if bounds[j + 1] > bounds[j]
+            ]
+            if len(spans) == 1:
+                raise
+            violated = np.concatenate(
+                [_violated(c.expr, ctx.take(slice(lo, hi))) for lo, hi in spans]
+            )
+        counts[rows] += violated if weight is None else violated * weight
+    return counts
+
+
+def _holder_view(ctx: BatchEvalContext, bounds: list, holders: list) -> tuple:
+    """``(rows, context, weight)`` for the rows of the functions
+    ``holders`` (ascending, with repeats): a slice when they are
+    contiguous, and ``weight`` the per-row repeat count, or ``None``
+    when no function repeats."""
+    distinct = list(dict.fromkeys(holders))
+    weight = None
+    if len(distinct) < len(holders):
+        repeats = [holders.count(j) for j in distinct]
+        weight = np.repeat(
+            repeats, [bounds[j + 1] - bounds[j] for j in distinct]
+        )
+    if distinct[-1] - distinct[0] + 1 == len(distinct):
+        rows = slice(bounds[distinct[0]], bounds[distinct[-1] + 1])
+        if rows.start == 0 and rows.stop == ctx.n:
+            return slice(None), ctx, weight
+    else:
+        rows = np.concatenate([np.arange(bounds[j], bounds[j + 1]) for j in distinct])
+    return rows, ctx.take(rows), weight

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.constraints.evaluate import ConstraintsFunction
+from repro.constraints.evaluate import ConstraintsFunction, grouped_violation_counts
 from repro.core.diversity import diverse_order
 from repro.core.moves import MoveProposer, default_proposers
 from repro.core.objectives import (
@@ -167,32 +167,23 @@ class _CandidatePool:
     def __len__(self) -> int:
         return self._size
 
-    def add(self, rows, metrics: BatchCandidateMetrics, quality, take) -> None:
-        """Append rows ``take`` of ``rows``/``metrics``/``quality``."""
-        self._blocks.append(
-            (
-                rows[take],
-                metrics.diff[take],
-                metrics.gap[take],
-                metrics.confidence[take],
-                quality[take],
-            )
-        )
-        self._size += self._blocks[-1][0].shape[0]
+    def add(self, rows, diff, gap, confidence, quality) -> None:
+        """Append one block of aligned row/metric/quality arrays."""
+        self._blocks.append((rows, diff, gap, confidence, quality))
+        self._size += rows.shape[0]
 
     @classmethod
     def of(cls, candidates: list[Candidate], objective: Objective):
         """The pool of row-at-a-time :class:`Candidate` objects, in order."""
         pool = cls()
         if candidates:
-            metrics = BatchCandidateMetrics(
-                diff=np.array([c.diff for c in candidates], dtype=float),
-                gap=np.array([c.gap for c in candidates]),
-                confidence=np.array([c.confidence for c in candidates], dtype=float),
+            pool.add(
+                np.vstack([c.x for c in candidates]),
+                np.array([c.diff for c in candidates], dtype=float),
+                np.array([c.gap for c in candidates]),
+                np.array([c.confidence for c in candidates], dtype=float),
+                np.array([objective.key(c.metrics) for c in candidates]),
             )
-            quality = np.array([objective.key(c.metrics) for c in candidates])
-            rows = np.vstack([c.x for c in candidates])
-            pool.add(rows, metrics, quality, slice(None))
         return pool
 
     def stacked(self) -> tuple[np.ndarray, BatchCandidateMetrics, np.ndarray]:
@@ -207,7 +198,9 @@ class _CandidatePool:
 class _BeamState:
     """Mutable state of one cell's batched beam search.
 
-    Owned by :meth:`CandidateGenerator.generate` and shared with the
+    Built by :func:`_begin_group` and advanced by :func:`_dedupe_group`
+    and :func:`_absorb_group`, for one cell in
+    :meth:`CandidateGenerator.generate` and for many at once in the
     fused multi-cell engine, which holds one per active cell and
     advances them in lock-stepped rounds (cells drop out of the round
     set as ``done`` flips).  ``pool`` holds the valid proposals as
@@ -347,11 +340,9 @@ class CandidateGenerator:
     # -------------------------------------------------------------- search
 
     def _prologue_rows(self, x_base, warm_start=None):
-        """The clipped base vector and clipped warm matrix exactly as
-        :meth:`_prologue` will rebuild them (warm matrix is ``None`` when
-        no warm seeds exist).  The fused engine uses this to pre-score
-        the prologue rows through the epoch cache before starting the
-        cell."""
+        """The clipped base vector and clipped warm matrix (``None`` when
+        no warm seeds exist) that a search starts from: the rows the
+        prologue scores before the first round."""
         x_clip = self.schema.clip(np.asarray(x_base, dtype=float).ravel())
         warm_matrix = (
             None
@@ -362,19 +353,10 @@ class CandidateGenerator:
             return x_clip, self.schema.clip_matrix(warm_matrix)
         return x_clip, None
 
-    def _prologue(
-        self,
-        x_base,
-        time: int,
-        key_fn,
-        warm_start=None,
-        *,
-        base_score=None,
-        warm_scores=None,
-    ):
-        """Shared search setup: clip the input, seed the RNG, and pool
-        the unmodified input if it already flips (the paper's Q1, "no
-        modification").  ``key_fn`` is the search loop's state-key function.
+    def _prologue(self, x_base, time: int, warm_start=None):
+        """Row-at-a-time search setup of :meth:`_generate_scalar`: clip the
+        input, seed the RNG, and pool the unmodified input if it already
+        flips (the paper's Q1, "no modification").
 
         ``warm_start`` is an optional ``(n, d)`` array (or list of
         vectors) of previously found candidates for this cell; each is
@@ -382,27 +364,15 @@ class CandidateGenerator:
         (pooled only when still decision-altering and valid), and kept as
         an extra initial beam seed ranked by the beam key.  With
         ``warm_start=None`` the search is bit-identical to the historical
-        cold path.
-
-        ``base_score`` / ``warm_scores`` optionally inject the decision
-        scores of the clipped base vector / warm matrix (as returned by
-        :meth:`_prologue_rows`) instead of calling the model here — the
-        fused engine scores the prologue rows of many cells in one
-        grouped, cache-served call.  The injected values must equal what
-        the model would return row-by-row — true for every supported
-        scorer (``tests/test_row_determinism.py``).
+        cold path.  :func:`_begin_group` is the batched twin.
         """
+        key_fn = self._state_key
         x_base = self.schema.clip(np.asarray(x_base, dtype=float).ravel())
         rng = np.random.default_rng(self.random_state)
         stats = SearchStats()
         pool: dict = {}
         visited: set = {key_fn(x_base)}
-        if base_score is None:
-            base_score = float(
-                self.model.decision_score(x_base.reshape(1, -1))[0]
-            )
-        else:
-            base_score = float(base_score)
+        base_score = float(self.model.decision_score(x_base.reshape(1, -1))[0])
         base_metrics = measure(x_base, x_base, base_score, self.diff_scale)
         if base_score > self.threshold and self.constraints.is_valid(
             x_base, x_base, confidence=base_score, time=time
@@ -410,21 +380,9 @@ class CandidateGenerator:
             pool[key_fn(x_base)] = Candidate(x_base, time, base_metrics)
             stats.valid_found += 1
         seeds: list[tuple[float, int, np.ndarray]] = []
-        warm_matrix = (
-            None
-            if warm_start is None
-            else np.atleast_2d(np.asarray(warm_start, dtype=float))
-        )
-        if warm_matrix is not None and warm_matrix.size:
-            W = self.schema.clip_matrix(warm_matrix)
-            # one model call for all seeds; constraints stay per-row (the
-            # seed lists are small — at most the stored k of the cell)
-            if warm_scores is None:
-                warm_scores = np.asarray(
-                    self.model.decision_score(W), dtype=float
-                ).ravel()
-            else:
-                warm_scores = np.asarray(warm_scores, dtype=float).ravel()
+        _, W = self._prologue_rows(x_base, warm_start)
+        if W is not None:
+            warm_scores = np.asarray(self.model.decision_score(W), dtype=float).ravel()
             for order in range(W.shape[0]):
                 w = W[order]
                 key = key_fn(w)
@@ -468,24 +426,26 @@ class CandidateGenerator:
         ranking uses a *stable* top-k, so the candidates are
         bit-identical to it for the same seed.
 
-        The loop body is factored into :meth:`_propose_step`,
-        :meth:`_dedupe_step` and :meth:`_absorb_step` over a
-        :class:`_BeamState`; the fused multi-cell engine
-        (:mod:`repro.core.fused`) drives the same steps across many
-        cells at once, with only the model-scoring call between them
-        swapped for the grouped, cache-served variant.
+        The search runs the group kernel — :func:`_begin_group`, then
+        per round :meth:`_propose_step`, :func:`_dedupe_group` and
+        :func:`_absorb_group` — as a one-cell group.  The fused
+        multi-cell engine (:mod:`repro.core.fused`) runs the same kernel
+        once per group of cells, with only the model-scoring call
+        between its steps swapped for the grouped, cache-served variant.
         """
-        state = self._begin_batch(x_base, time, warm_start)
+        x_clip, W = self._prologue_rows(x_base, warm_start)
+        X = x_clip.reshape(1, -1) if W is None else np.vstack([x_clip, W])
+        scores = np.asarray(self.model.decision_score(X), dtype=float).ravel()
+        (state,) = _begin_group(
+            [self], time, X, self._row_keys(X), [X.shape[0]], scores
+        )
         for _ in range(self.max_iter):
             state.stats.iterations += 1
-            pair = self._dedupe_step(state, self._propose_step(state))
-            if pair is None:
+            fresh, _, sizes = _dedupe_group([state], [self._propose_step(state)])
+            if state.done:
                 break
-            fresh = pair[0]
-            scores = np.asarray(
-                self.model.decision_score(fresh), dtype=float
-            ).ravel()
-            self._absorb_step(state, fresh, scores)
+            scores = np.asarray(self.model.decision_score(fresh), dtype=float).ravel()
+            _absorb_group([(self, state)], sizes, fresh, scores)
             if state.done:
                 break
         self.last_stats_ = state.stats
@@ -505,7 +465,7 @@ class CandidateGenerator:
         exactly one RNG consumer, where both orders coincide.
         """
         x_base, rng, stats, pool, visited, best_key, beam = self._prologue(
-            x_base, time, self._state_key, warm_start
+            x_base, time, warm_start
         )
         stale = 0
         for iteration in range(self.max_iter):
@@ -564,31 +524,21 @@ class CandidateGenerator:
 
     # ------------------------------------------------- batched step kernel
 
-    def _begin_batch(
-        self, x_base, time: int, warm_start=None, *, base_score=None,
-        warm_scores=None,
-    ) -> "_BeamState":
-        """Prologue → mutable :class:`_BeamState` for the batched loop;
-        the prologue's pooled rows move into the array pool here."""
-        x_base, rng, stats, pool, visited, best_key, beam = self._prologue(
-            x_base,
-            time,
-            lambda x: self._row_keys(x)[0],
-            warm_start,
-            base_score=base_score,
-            warm_scores=warm_scores,
-        )
-        # pool only ever grows, so the best pool key is a running minimum
-        return _BeamState(
-            x_base=x_base,
-            time=time,
-            rng=rng,
-            stats=stats,
-            pool=_CandidatePool.of(list(pool.values()), self.objective),
-            visited=visited,
-            best_key=best_key,
-            pool_best=best_key,
-            beam=beam,
+    def _kernel_key(self) -> tuple:
+        """What the searches of one kernel group must share: every
+        generator setting the group kernel reads once for all its rows —
+        threshold, objective, the constraints' schema, the metrics diff
+        scale and the constraints' own diff space."""
+
+        def scale_bytes(scale):
+            return None if scale is None else np.asarray(scale, dtype=float).tobytes()
+
+        return (
+            self.threshold,
+            self.objective,
+            id(self.constraints.schema),
+            scale_bytes(self.diff_scale),
+            scale_bytes(self.constraints.diff_scale),
         )
 
     def _propose_step(self, state: "_BeamState") -> list[np.ndarray]:
@@ -607,112 +557,6 @@ class CandidateGenerator:
         scalar loop's proposal order; empty matrices are dropped."""
         mats = [chunk[s] for s in range(n_states) for chunk in chunks]
         return [m for m in mats if m.shape[0]]
-
-    def _dedupe_step(self, state: "_BeamState", mats: list[np.ndarray]):
-        """Visited-set dedupe of one iteration's proposals.
-
-        Returns ``(fresh, fresh_keys)`` — the unvisited rows and their
-        byte keys — or ``None`` when the iteration produced nothing new,
-        in which case the search is marked converged/done.
-        """
-        if not mats:
-            state.stats.converged = True
-            state.done = True
-            return None
-        proposals = np.vstack(mats)
-        keys = self._row_keys(proposals)
-        fresh_idx = []
-        fresh_keys = []
-        for i, key in enumerate(keys):
-            if key not in state.visited:
-                state.visited.add(key)
-                fresh_idx.append(i)
-                fresh_keys.append(key)
-        state.stats.dedupe_hits += len(keys) - len(fresh_idx)
-        if not fresh_idx:
-            state.stats.converged = True
-            state.done = True
-            return None
-        fresh = proposals[fresh_idx]
-        state.stats.proposals_evaluated += fresh.shape[0]
-        return fresh, fresh_keys
-
-    def _absorb_step(
-        self,
-        state: "_BeamState",
-        fresh: np.ndarray,
-        scores: np.ndarray,
-    ) -> None:
-        """Post-scoring remainder of one iteration: metrics, constraint
-        counts, pool inserts (the valid rows, as one array block),
-        beam re-ranking and the patience check.  Sets ``state.done``
-        when the search converged."""
-        x_base, time, pool, stats = state.x_base, state.time, state.pool, state.stats
-        n = fresh.shape[0]
-        metrics = measure_batch(fresh, x_base, scores, self.diff_scale)
-        violation_counts = self.constraints.violation_counts_batch(
-            fresh,
-            x_base,
-            confidence=scores,
-            time=time,
-            diff=metrics.diff if self._shared_diff_scale else None,
-            gap=metrics.gap,
-        )
-        valid = (violation_counts == 0) & (scores > self.threshold)
-        objective_keys = self.objective.key_batch(metrics)
-        # the scalar loop checks `not pool` after inserting each row,
-        # so the objective down-weighting switches off as soon as any
-        # earlier row (inclusive) entered the pool this iteration
-        if pool:
-            pool_empty = np.zeros(n, dtype=bool)
-        else:
-            pool_empty = np.cumsum(valid) == 0
-        objective_weight = np.where(pool_empty, 0.1, 1.0)
-        beam_keys = (
-            _BOUNDARY_WEIGHT * np.maximum(0.0, self.threshold - scores)
-            + objective_weight * objective_keys
-            + _VIOLATION_PENALTY * violation_counts
-        )
-        keep = np.flatnonzero(valid)
-        if keep.size:
-            pool.add(fresh, metrics, objective_keys, keep)
-            stats.valid_found += int(keep.size)
-            state.pool_best = min(
-                state.pool_best, float(objective_keys[keep].min())
-            )
-        state.beam = [
-            fresh[i] for i in self._stable_top(beam_keys, self.beam_width)
-        ]
-        new_best = state.pool_best
-        stats.best_key_history.append(new_best)
-        if new_best < state.best_key - 1e-12:
-            state.best_key = new_best
-            state.stale = 0
-        else:
-            state.stale += 1
-            if state.stale >= self.patience and pool:
-                stats.converged = True
-                state.done = True
-
-    @staticmethod
-    def _stable_top(keys: np.ndarray, width: int) -> np.ndarray:
-        """Indices of the ``width`` smallest keys, in stable sorted order.
-
-        One ``argpartition`` plus a tie repair at the cut, equivalent to
-        a full stable sort followed by ``[:width]`` (ties at the boundary
-        resolve to the lowest original indices, like Python's stable
-        ``list.sort`` in the scalar path).
-        """
-        n = keys.size
-        if n <= width:
-            take = np.arange(n)
-        else:
-            part = np.argpartition(keys, width - 1)[:width]
-            cut = keys[part].max()
-            smaller = np.flatnonzero(keys < cut)
-            tied = np.flatnonzero(keys == cut)
-            take = np.concatenate([smaller, tied[: width - smaller.size]])
-        return take[np.argsort(keys[take], kind="stable")]
 
     def _finalise_pack(
         self,
@@ -747,6 +591,218 @@ class CandidateGenerator:
             points, quality, self.k, scale=self.diff_scale
         )
         return self._finalise_pack(time, points, metrics, quality, chosen, min_dists)
+
+
+# --------------------------------------------------------------------------
+# the group step kernel
+# --------------------------------------------------------------------------
+#
+# One search or many: the kernel takes a group of searches whose
+# generators share a ``_kernel_key`` (and a time point) and does each step
+# once for the stacked rows of all of them.  Every row keeps its own
+# search's arithmetic — its own base row, constraints, visited set, pool
+# and beam — so each search gets exactly what it would get alone.
+
+
+def _begin_group(gens, time: int, X, keys, sizes, scores) -> list[_BeamState]:
+    """The prologue of a kernel group: one :class:`_BeamState` per
+    generator.
+
+    Generator ``j`` owns the next ``sizes[j]`` rows of ``X``: its
+    clipped base row, then its clipped warm seeds (as
+    :meth:`CandidateGenerator._prologue_rows` returns them), with their
+    byte ``keys`` and decision ``scores``.  The base row is pooled when
+    it already flips and is valid.  A warm seed repeating an earlier row
+    of its search is skipped; the others are measured and ranked in one
+    stacked pass (each valid one pooled), and the best ``beam_width - 1``
+    by ``(beam key, order)`` join the base row in the first beam —
+    equal, row for row, to the scalar :meth:`CandidateGenerator._prologue`.
+    """
+    states: list[_BeamState] = []
+    warm_rows: list[int] = []
+    warm_sizes: list[int] = []
+    lo = 0
+    for gen, n in zip(gens, sizes):
+        x_base, score = X[lo], float(scores[lo])
+        state = _BeamState(
+            x_base=x_base,
+            time=time,
+            rng=np.random.default_rng(gen.random_state),
+            stats=SearchStats(),
+            pool=_CandidatePool(),
+            visited={keys[lo]},
+            best_key=np.inf,
+            pool_best=np.inf,
+            beam=[x_base],
+        )
+        if score > gen.threshold and gen.constraints.is_valid(
+            x_base, x_base, confidence=score, time=time
+        ):
+            metrics = measure_batch(x_base, x_base, [score], gen.diff_scale)
+            quality = gen.objective.key_batch(metrics)
+            state.pool.add(
+                X[lo : lo + 1], metrics.diff, metrics.gap, metrics.confidence, quality
+            )
+            state.stats.valid_found += 1
+            state.pool_best = float(quality[0])
+        visited = state.visited
+        kept = [
+            i
+            for i, key in enumerate(keys[lo + 1 : lo + n], lo + 1)
+            if not (key in visited or visited.add(key))
+        ]
+        state.stats.proposals_evaluated += len(kept)
+        warm_rows += kept
+        warm_sizes.append(len(kept))
+        states.append(state)
+        lo += n
+    if warm_rows:
+        members = [
+            (gen, state) for gen, state, n in zip(gens, states, warm_sizes) if n
+        ]
+        sizes = [n for n in warm_sizes if n]
+        rows = X[warm_rows]
+        beam_keys, bounds = _rank_group(members, sizes, rows, scores[warm_rows])
+        for (gen, state), lo, hi in zip(members, bounds, bounds[1:]):
+            seeds = np.argsort(beam_keys[lo:hi], kind="stable")
+            state.beam += list(rows[lo:hi][seeds[: max(0, gen.beam_width - 1)]])
+    for state in states:
+        state.best_key = state.pool_best
+    return states
+
+
+def _dedupe_group(states, mats):
+    """Visited-set dedupe of one round's proposals for a kernel group.
+
+    ``mats[j]`` lists state ``j``'s proposal matrices in scalar order.
+    One :meth:`CandidateGenerator._row_keys` call covers the stacked
+    proposals of every state; each state then keeps the rows its own
+    visited set has not seen, in first-occurrence order (a row repeated
+    within the round is kept once).  A state with nothing new is marked
+    converged and done.
+
+    Returns ``(fresh, keys, sizes)``: every state's kept rows stacked in
+    state order (``None`` when no state kept any), their byte keys, and
+    the number each state kept.
+    """
+    flat = [m for state_mats in mats for m in state_mats]
+    proposals = np.vstack(flat) if flat else None
+    keys = CandidateGenerator._row_keys(proposals) if flat else []
+    take: list[int] = []
+    sizes: list[int] = []
+    lo = 0
+    for state, state_mats in zip(states, mats):
+        n = sum(m.shape[0] for m in state_mats)
+        visited = state.visited
+        kept = [
+            i
+            for i, key in enumerate(keys[lo : lo + n], lo)
+            if not (key in visited or visited.add(key))
+        ]
+        lo += n
+        state.stats.dedupe_hits += n - len(kept)
+        state.stats.proposals_evaluated += len(kept)
+        if not kept:
+            state.stats.converged = True
+            state.done = True
+        take += kept
+        sizes.append(len(kept))
+    if not take:
+        return None, [], sizes
+    return proposals[take], [keys[i] for i in take], sizes
+
+
+def _absorb_group(members, sizes, rows, scores) -> None:
+    """Post-scoring remainder of one round for a kernel group.
+
+    ``members`` are ``(generator, state)`` pairs owning the next
+    ``sizes[j]`` of ``rows`` (the states' fresh rows, scored as
+    ``scores``).  Metrics, violation counts, pool inserts and beam keys
+    run once over all rows (:func:`_rank_group`); then each state takes
+    its ``beam_width`` best rows by beam key as its next beam — ties in
+    row order, as the stable sort of the scalar loop breaks them —
+    appends its pool's best key to its history and runs its patience
+    check, setting ``done`` when its search converged.
+    """
+    beam_keys, bounds = _rank_group(members, sizes, rows, scores)
+    for (gen, state), lo, hi in zip(members, bounds, bounds[1:]):
+        top = np.argsort(beam_keys[lo:hi], kind="stable")[: gen.beam_width]
+        state.beam = list(rows[lo:hi][top])
+        stats = state.stats
+        new_best = state.pool_best
+        stats.best_key_history.append(new_best)
+        if new_best < state.best_key - 1e-12:
+            state.best_key = new_best
+            state.stale = 0
+        else:
+            state.stale += 1
+            if state.stale >= gen.patience and state.pool:
+                stats.converged = True
+                state.done = True
+
+
+def _rank_group(members, sizes, rows, scores):
+    """The per-row arithmetic of a kernel group's rows.
+
+    Measures every row against its own state's base row, counts its
+    violated constraints (each distinct constraint once over the rows of
+    the states that hold it), appends every valid row to its state's
+    pool — as views of one copy of the valid rows — and computes the beam
+    keys.  Returns ``(beam_keys, bounds)``: state ``j`` owns rows
+    ``bounds[j]`` to ``bounds[j + 1]``.
+    """
+    gen = members[0][0]
+    states = [state for _, state in members]
+    time = states[0].time
+    owner = np.repeat(np.arange(len(members)), sizes)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    if len(members) == 1:
+        bases = states[0].x_base
+    else:
+        bases = np.asarray([state.x_base for state in states])[owner]
+    metrics = measure_batch(rows, bases, scores, gen.diff_scale)
+    ctx = gen.constraints.batch_context(
+        rows,
+        bases,
+        confidence=scores,
+        time=time,
+        diff=metrics.diff if gen._shared_diff_scale else None,
+        gap=metrics.gap,
+    )
+    violation_counts = grouped_violation_counts(
+        ctx, [g.constraints for g, _ in members], sizes, time
+    )
+    valid = (violation_counts == 0) & (scores > gen.threshold)
+    objective_keys = gen.objective.key_batch(metrics)
+    # the scalar loop checks `not pool` after inserting each row, so a
+    # state's objective down-weighting switches off as soon as any
+    # earlier row (inclusive) of that state entered its pool
+    running = np.cumsum(valid)
+    before = np.concatenate(([0], running))[bounds[:-1]]
+    pooled = np.array([bool(state.pool) for state in states])
+    pool_empty = ~pooled[owner] & (running == before[owner])
+    objective_weight = np.where(pool_empty, 0.1, 1.0)
+    beam_keys = (
+        _BOUNDARY_WEIGHT * np.maximum(0.0, gen.threshold - scores)
+        + objective_weight * objective_keys
+        + _VIOLATION_PENALTY * violation_counts
+    )
+    keep = np.flatnonzero(valid)
+    if keep.size:
+        block = (
+            rows[keep],
+            metrics.diff[keep],
+            metrics.gap[keep],
+            metrics.confidence[keep],
+            objective_keys[keep],
+        )
+        cuts = np.searchsorted(keep, bounds).tolist()
+        for state, lo, hi in zip(states, cuts, cuts[1:]):
+            if hi > lo:
+                state.pool.add(*(column[lo:hi] for column in block))
+                state.stats.valid_found += hi - lo
+                state.pool_best = min(state.pool_best, float(block[4][lo:hi].min()))
+    return beam_keys, bounds.tolist()
 
 
 # --------------------------------------------------------------------------

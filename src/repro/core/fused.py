@@ -21,6 +21,14 @@ fused loop**:
 * per round, cells are grouped by ``(t, model)`` and their fresh
   proposal rows are scored through **one** ``decision_score`` call per
   group instead of one per cell;
+* the rest of the round runs **once per kernel group** — the cells of a
+  ``(t, model)`` group whose generators also share threshold, objective,
+  constraints schema, diff scale and constraints diff space: one
+  rounded-row key pass for the dedupe (each cell still filters against
+  its own visited set), then metrics against per-row base rows,
+  violation counts with each shared constraint evaluated once over the
+  rows of the cells that hold it, beam keys, pool inserts and patience
+  checks over the stacked rows;
 * scored rows feed an **epoch-level proposal cache**
   (:class:`EpochProposalCache`) holding one ``row_bytes -> score``
   table per model fingerprint — the per-beam rounded-row dedupe of
@@ -48,15 +56,19 @@ fused loop**:
 
 Bit-identity contract
 ---------------------
-The fused engine reorders *which batches* rows are scored in, never the
-per-row arithmetic: it drives the exact
-``_propose_step → _dedupe_step → _absorb_step`` kernel of
-:meth:`CandidateGenerator.generate`.  A row's decision score must
-therefore not depend on the batch it is scored in; every model class
-the system supports meets that contract, which
-``tests/test_row_determinism.py`` pins bit for bit.  Under it the
-results — candidates, stats histories, store digests — are
-byte-identical to generating each cell on its own.
+The fused engine reorders *which batches* rows are scored and measured
+in, never the per-row arithmetic: it drives the group kernel of
+:mod:`repro.core.candidates` (``_begin_group``, then per round
+``_dedupe_group → score → _absorb_group``), which
+:meth:`CandidateGenerator.generate` runs as a one-cell group.  Every
+row is measured against its own cell's base row and counted against
+its own cell's constraints, and each cell keeps its own visited set,
+pool, beam and patience.  A row's decision score must not depend on the
+batch it is scored in; every model class the system supports meets
+that contract, which ``tests/test_row_determinism.py`` pins bit for
+bit.  Under it the results — candidates, stats histories, store
+digests — are byte-identical to generating each cell on its own
+(``tests/test_group_kernel.py`` checks mixed groups cell by cell).
 
 ``CandidateGenerator.generate`` stays the single-cell API and the
 reference: ``tests/test_fused_engine.py`` asserts ``contents_digest()``
@@ -75,6 +87,9 @@ from repro.core.candidates import (
     Candidate,
     CandidateGenerator,
     SearchStats,
+    _absorb_group,
+    _begin_group,
+    _dedupe_group,
     search_counter_totals,
 )
 from repro.core.diversity import select_diverse_batch
@@ -177,8 +192,8 @@ class FusedCell:
 
     ``cell_id`` is the caller's handle (unique per call — the system
     uses ``(user_id, t)``); ``generator`` is the cell's fully configured
-    :class:`CandidateGenerator`, whose step kernel the fused loop drives
-    directly.  ``model_fp`` keys the epoch cache; ``None`` disables
+    :class:`CandidateGenerator`, whose settings the group kernel reads.
+    ``model_fp`` keys the epoch cache; ``None`` disables
     caching for the cell's rows.
 
     ``constraints_key`` declares the identity of the cell's constraints
@@ -285,11 +300,12 @@ def _copy_stats(stats: SearchStats) -> SearchStats:
 class _Run:
     """One unique cell's live search: its generator plus beam state."""
 
-    __slots__ = ("cell", "gen", "state", "result")
+    __slots__ = ("cell", "gen", "kernel_key", "state", "result")
 
     def __init__(self, cell: FusedCell):
         self.cell = cell
         self.gen = cell.generator
+        self.kernel_key = cell.generator._kernel_key()
         self.state = None
         self.result: list[Candidate] | None = None
 
@@ -539,10 +555,37 @@ def _group_active(runs: list[_Run]) -> list[list[_Run]]:
     return [groups[key] for key in order]
 
 
-def _attribute_cache_counters(state, hit_mask, lo, hi) -> None:
-    hits = int(hit_mask[lo:hi].sum())
-    state.stats.cache_hits += hits
-    state.stats.cache_misses += (hi - lo) - hits
+def _kernel_groups(group: list[_Run], sizes: list[int]):
+    """Split the runs of a ``(t, model)`` group that own rows of its
+    stacked matrix (``sizes[j]`` rows for run ``j``, in run order) into
+    kernel groups of runs with equal ``kernel_key``.
+
+    Yields ``(runs, sizes, index)`` per kernel group, in order of first
+    appearance; ``index`` selects the kernel group's rows from the
+    stacked matrix, and is ``None`` when one kernel group owns them all.
+    """
+    groups: dict[tuple, tuple[list, list, list]] = {}
+    lo = 0
+    for run, n in zip(group, sizes):
+        if n:
+            runs, counts, spans = groups.setdefault(run.kernel_key, ([], [], []))
+            runs.append(run)
+            counts.append(n)
+            spans.append(np.arange(lo, lo + n))
+        lo += n
+    for runs, counts, spans in groups.values():
+        yield runs, counts, None if len(groups) == 1 else np.concatenate(spans)
+
+
+def _attribute_group_counters(group: list[_Run], sizes, hit_mask) -> None:
+    """Credit each run with the cache hits and misses among its rows
+    (run ``j`` owns the next ``sizes[j]`` rows of ``hit_mask``)."""
+    lo = 0
+    for run, n in zip(group, sizes):
+        hits = int(hit_mask[lo : lo + n].sum())
+        run.state.stats.cache_hits += hits
+        run.state.stats.cache_misses += n - hits
+        lo += n
 
 
 def _finalise_batch(finished: list[_Run]) -> None:
@@ -632,35 +675,37 @@ def generate_fused(
     report.cells_deduped = len(cells) - len(runs)
 
     # ---- fused prologue: score every cell's base + warm rows through
-    # the cache, one grouped model call per (t, model) for the misses
+    # the cache, one grouped model call per (t, model) for the misses,
+    # then start each kernel group's searches in one pass
     for group in _group_active(runs):
         gen0 = group[0].gen
         fp = group[0].cell.model_fp
         rows: list[np.ndarray] = []
-        keys: list[bytes] = []
-        spans: list[tuple[_Run, int, int, bool]] = []
+        sizes: list[int] = []
         for run in group:
             x_clip, W = run.gen._prologue_rows(run.cell.x_base, run.cell.warm_start)
-            lo = len(keys)
             rows.append(x_clip.reshape(1, -1))
-            keys.append(run.gen._row_keys(x_clip)[0])
             if W is not None:
                 rows.append(W)
-                keys.extend(run.gen._row_keys(W))
-            spans.append((run, lo, len(keys), W is not None))
+            sizes.append(1 + (0 if W is None else W.shape[0]))
         X = np.vstack(rows)
+        keys = CandidateGenerator._row_keys(X)
         scores, hit_mask = cache.scores_for(gen0.model, fp, X, keys)
         if not fp or not hit_mask.all():
             report.model_calls += 1
-        for run, lo, hi, has_warm in spans:
-            run.state = run.gen._begin_batch(
-                run.cell.x_base,
-                run.cell.t,
-                run.cell.warm_start,
-                base_score=float(scores[lo]),
-                warm_scores=scores[lo + 1 : hi] if has_warm else None,
+        for sub, sub_sizes, index in _kernel_groups(group, sizes):
+            sub_keys = keys if index is None else [keys[i] for i in index]
+            states = _begin_group(
+                [run.gen for run in sub],
+                group[0].cell.t,
+                X if index is None else X[index],
+                sub_keys,
+                sub_sizes,
+                scores if index is None else scores[index],
             )
-            _attribute_cache_counters(run.state, hit_mask, lo, hi)
+            for run, state in zip(sub, states):
+                run.state = state
+        _attribute_group_counters(group, sizes, hit_mask)
 
     # ---- lock-stepped rounds over the active-cell set
     active = list(runs)
@@ -674,30 +719,27 @@ def generate_fused(
             for run in group:
                 run.state.stats.iterations += 1
             chunks = _group_proposals(group)
-            pending: list[tuple[_Run, np.ndarray]] = []
-            keys: list[bytes] = []
-            for run in group:
-                mats = run.gen._interleave_chunks(
-                    chunks[id(run)], len(run.state.beam)
-                )
-                pair = run.gen._dedupe_step(run.state, mats)
-                if pair is None:
-                    continue
-                pending.append((run, pair[0]))
-                keys += pair[1]
-            if not pending:
+            fresh, keys, sizes = _dedupe_group(
+                [run.state for run in group],
+                [
+                    run.gen._interleave_chunks(chunks[id(run)], len(run.state.beam))
+                    for run in group
+                ],
+            )
+            if fresh is None:
                 continue
             # one grouped, cache-served scoring call for the whole group
-            X = np.vstack([fresh for _, fresh in pending])
-            scores, hit_mask = cache.scores_for(gen0.model, fp, X, keys)
+            scores, hit_mask = cache.scores_for(gen0.model, fp, fresh, keys)
             if not fp or not hit_mask.all():
                 report.model_calls += 1
-            offset = 0
-            for run, fresh in pending:
-                n = fresh.shape[0]
-                _attribute_cache_counters(run.state, hit_mask, offset, offset + n)
-                run.gen._absorb_step(run.state, fresh, scores[offset : offset + n])
-                offset += n
+            _attribute_group_counters(group, sizes, hit_mask)
+            for sub, sub_sizes, index in _kernel_groups(group, sizes):
+                _absorb_group(
+                    [(run.gen, run.state) for run in sub],
+                    sub_sizes,
+                    fresh if index is None else fresh[index],
+                    scores if index is None else scores[index],
+                )
         # asynchronous exit: finished cells leave the round set, and every
         # cell finishing this round gets its diverse plan set selected in
         # one stacked batch instead of a per-cell Python loop

@@ -75,7 +75,8 @@ class BatchCandidateMetrics:
 def measure_batch(
     X_prime, x_base, confidence, diff_scale=None
 ) -> BatchCandidateMetrics:
-    """Vectorized :func:`measure` over an ``(n, d)`` candidate matrix."""
+    """Vectorized :func:`measure` over an ``(n, d)`` candidate matrix,
+    against one base row or an ``(n, d)`` matrix of per-row base rows."""
     return BatchCandidateMetrics(
         diff=l2_diff_batch(X_prime, x_base, diff_scale),
         gap=l0_gap_batch(X_prime, x_base),

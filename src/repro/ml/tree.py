@@ -62,12 +62,19 @@ class TreeNode:
         return float(self.value[1] / total)
 
     def iter_nodes(self) -> Iterator["TreeNode"]:
-        """Yield this node and all descendants, pre-order."""
-        yield self
-        if self.left is not None:
-            yield from self.left.iter_nodes()
-        if self.right is not None:
-            yield from self.right.iter_nodes()
+        """Yield this node and all descendants, pre-order.
+
+        An explicit stack (right child pushed before left), so a tree of
+        any depth can be walked without reaching the recursion limit.
+        """
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.right is not None:
+                stack.append(node.right)
+            if node.left is not None:
+                stack.append(node.left)
 
 
 def _gini(counts: np.ndarray) -> float:

@@ -208,6 +208,19 @@ class TestPackedDescent:
         probe = np.column_stack([np.arange(-1.0, 38.0, 0.25), np.zeros(156)])
         assert_bits_equal(tree.decision_score(probe), node_walk_scores(tree, probe))
 
+    def test_deeper_than_the_recursion_limit(self):
+        """A 4,799-node chain, far deeper than the interpreter's
+        recursion limit, is walked in pre-order, scored and introspected."""
+        X = np.arange(2400.0).reshape(-1, 1)
+        y = np.arange(2400) % 2
+        tree = DecisionTreeClassifier().fit(X, y)
+        ids = [node.node_id for node in tree.root_.iter_nodes()]
+        assert ids == list(range(4799))
+        np.testing.assert_array_equal(tree.predict_proba(X)[:, 1], y)
+        assert tree.depth() == 2399
+        assert len(tree.leaves()) == 2400
+        assert tree.split_thresholds()[0].size == 2399
+
     def test_rows_on_split_thresholds_route_left(self, small_xy):
         X, y = small_xy
         tree = DecisionTreeClassifier(max_depth=6).fit(X, y)
