@@ -37,6 +37,7 @@ __all__ = [
     "l2_diff_batch",
     "l0_gap",
     "l0_gap_batch",
+    "diff_gap_batch",
     "ScopedConstraint",
     "ConstraintsFunction",
     "grouped_violation_counts",
@@ -87,6 +88,15 @@ def _base_rows(X_prime, x, what: str) -> tuple[np.ndarray, np.ndarray]:
     return X_prime, x
 
 
+def _scale_vector(scale, d: int) -> np.ndarray:
+    scale = np.asarray(scale, dtype=float).ravel()
+    if scale.shape != (d,):
+        raise ConstraintError("scale shape mismatch")
+    if (scale <= 0).any():
+        raise ConstraintError("scale entries must be positive")
+    return scale
+
+
 def l2_diff_batch(X_prime, x, scale=None) -> np.ndarray:
     """Row-wise :func:`l2_diff` of an ``(n, d)`` candidate matrix against
     one base row ``x`` or an ``(n, d)`` matrix of per-row base rows.
@@ -97,12 +107,7 @@ def l2_diff_batch(X_prime, x, scale=None) -> np.ndarray:
     X_prime, x = _base_rows(X_prime, x, "diff")
     delta = X_prime - x
     if scale is not None:
-        scale = np.asarray(scale, dtype=float).ravel()
-        if scale.shape != X_prime.shape[1:]:
-            raise ConstraintError("scale shape mismatch")
-        if (scale <= 0).any():
-            raise ConstraintError("scale entries must be positive")
-        delta = delta / scale
+        delta = delta / _scale_vector(scale, X_prime.shape[1])
     return np.sqrt(np.sum(delta * delta, axis=1))
 
 
@@ -111,6 +116,32 @@ def l0_gap_batch(X_prime, x) -> np.ndarray:
     one base row or per-row base rows (as :func:`l2_diff_batch`)."""
     X_prime, x = _base_rows(X_prime, x, "gap")
     return np.sum(np.abs(X_prime - x) > _GAP_TOLERANCE, axis=1)
+
+
+def diff_gap_batch(X_prime, x, scale=None) -> tuple[np.ndarray, np.ndarray]:
+    """``(l2_diff_batch(X_prime, x, scale), l0_gap_batch(X_prime, x))``
+    bit for bit, from one shape check and one ``X_prime - x``.
+
+    Both read only the magnitudes of the differences: the gap counts
+    those above the tolerance, and a magnitude scaled and squared is
+    exactly the square of the scaled difference.  So one buffer of
+    magnitudes is worked in place — fewer full-size temporaries than
+    the two calls allocate between them.  The gap is counted by a
+    product with a ones vector of the default integer type: a sum of
+    0/1 integers is exact in any order, and for short rows the product
+    is faster than a reduction along them.
+    """
+    X_prime, x = _base_rows(X_prime, x, "diff")
+    d = X_prime.shape[1]
+    if scale is not None:
+        scale = _scale_vector(scale, d)
+    magnitude = np.subtract(X_prime, x)
+    np.abs(magnitude, out=magnitude)
+    gap = (magnitude > _GAP_TOLERANCE) @ np.ones(d, dtype=np.int_)
+    if scale is not None:
+        np.divide(magnitude, scale, out=magnitude)
+    np.multiply(magnitude, magnitude, out=magnitude)
+    return np.sqrt(np.sum(magnitude, axis=1)), gap
 
 
 def l0_gap(x_prime, x) -> int:

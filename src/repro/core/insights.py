@@ -12,6 +12,11 @@ answering cell's stored diverse plan set — up to ``k`` recourse plans in
 greedy max-min selection order, each with its objective quality and its
 scaled distance to the nearest earlier pick.  The default ``plans=1``
 keeps the classic single-plan answer, byte for byte.
+
+One engine renders a set of answers in one pass: each piece of work
+its questions share — the user's temporal inputs, a candidate row's
+plan, a cell's plan set — is done once per engine (see
+:class:`InsightEngine`).
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ from repro.core.candidates import Candidate
 from repro.core.objectives import CandidateMetrics
 from repro.core.plans import Plan, build_plan
 from repro.db import queries as canned
+from repro.db.prepared import q3_answer
 from repro.db.store import CandidateStore
-from repro.exceptions import QueryError
+from repro.exceptions import QueryError, StorageError
 
 __all__ = ["Insight", "InsightEngine", "PlanAlternative", "QUESTIONS"]
 
@@ -79,6 +85,20 @@ class Insight:
 class InsightEngine:
     """Per-user query/insight interface over the candidate store.
 
+    An engine keeps what its questions share, for its own lifetime:
+
+    * the user's temporal inputs, all read in one statement on first
+      need — the base vector of every plan and Q3's horizon;
+    * one :class:`~repro.core.plans.Plan` per candidate row ``id``
+      (a row two questions return is built, and its text rendered,
+      once);
+    * one plan set per ``(time, k)``.
+
+    So an engine must not outlive a write to its user's rows: the
+    server builds one per render attempt (a retry after a refresh
+    lands gets a new one) and :attr:`UserSession.engine
+    <repro.core.system.UserSession.engine>` a fresh one per access.
+
     Parameters
     ----------
     store:
@@ -98,10 +118,11 @@ class InsightEngine:
         self.store = store
         self.user_id = user_id
         self.time_values = list(time_values)
-        #: temporal input per time point, read once per engine (the
-        #: server builds one engine per render attempt, so a retry after
-        #: a refresh reads afresh)
-        self._inputs: dict[int, np.ndarray] = {}
+        self._queries = canned.prepared(store)
+        self._read = store.read
+        self._inputs: dict[int, np.ndarray] | None = None
+        self._plans: dict[int, Plan] = {}
+        self._plan_sets: dict[tuple[int, int], tuple[PlanAlternative, ...]] = {}
 
     # ------------------------------------------------------------- helpers
 
@@ -110,18 +131,33 @@ class InsightEngine:
             return self.time_values[t]
         return float(t)
 
-    def _temporal_input(self, t: int) -> np.ndarray:
-        base = self._inputs.get(t)
-        if base is None:
-            base = self._inputs[t] = self.store.temporal_input(self.user_id, t)
-        return base
+    def _temporal_inputs(self) -> dict[int, np.ndarray]:
+        """``{time: temporal input}`` of the user, in time order."""
+        inputs = self._inputs
+        if inputs is None:
+            to_vector = self.store.row_to_vector
+            inputs = self._inputs = {
+                int(row["time"]): to_vector(row)
+                for row in self._queries.inputs(self._read, self.user_id)
+            }
+        return inputs
 
-    def _plan_from_row(self, row: dict[str, Any]) -> Plan:
+    def _horizon(self) -> list[int]:
+        """The user's time points, ascending."""
+        return list(self._temporal_inputs())
+
+    def _plan_from_row(self, row) -> Plan:
+        plan = self._plans.get(row["id"])
+        if plan is not None:
+            return plan
         t = int(row["time"])
-        base = self._temporal_input(t)
-        x = self.store.row_to_vector(row)
+        base = self._temporal_inputs().get(t)
+        if base is None:
+            raise StorageError(
+                f"no temporal input for user {self.user_id!r} at time {t}"
+            )
         candidate = Candidate(
-            x,
+            self.store.row_to_vector(row),
             t,
             CandidateMetrics(
                 diff=float(row["diff"]),
@@ -129,9 +165,10 @@ class InsightEngine:
                 confidence=float(row["p"]),
             ),
         )
-        return build_plan(
+        plan = self._plans[row["id"]] = build_plan(
             candidate, base, self.store.schema, time_value=self._calendar(t)
         )
+        return plan
 
     def _alternatives(
         self, t: int | None, plans: int
@@ -146,26 +183,28 @@ class InsightEngine:
             raise QueryError("plans must be >= 1")
         if plans == 1 or t is None:
             return ()
-        rows = canned.prepared(self.store).plan_set(
-            self.store.read, self.user_id, int(t), plans
-        )
-        return tuple(
-            PlanAlternative(
-                plan=self._plan_from_row(row),
-                rank=int(row["plan_rank"]),
-                quality=(
-                    None
-                    if row["plan_quality"] is None
-                    else float(row["plan_quality"])
-                ),
-                min_dist=(
-                    None
-                    if row["plan_min_dist"] is None
-                    else float(row["plan_min_dist"])
-                ),
+        key = (int(t), plans)
+        alternatives = self._plan_sets.get(key)
+        if alternatives is None:
+            rows = self._queries.plan_set(self._read, self.user_id, *key)
+            alternatives = self._plan_sets[key] = tuple(
+                PlanAlternative(
+                    plan=self._plan_from_row(row),
+                    rank=int(row["plan_rank"]),
+                    quality=(
+                        None
+                        if row["plan_quality"] is None
+                        else float(row["plan_quality"])
+                    ),
+                    min_dist=(
+                        None
+                        if row["plan_min_dist"] is None
+                        else float(row["plan_min_dist"])
+                    ),
+                )
+                for row in rows
             )
-            for row in rows
-        )
+        return alternatives
 
     # ------------------------------------------------------------ questions
 
@@ -193,7 +232,7 @@ class InsightEngine:
         return handler(**params)
 
     def no_modification(self, plans: int = 1) -> Insight:
-        t = canned.q1_no_modification(self.store, self.user_id)
+        t = self._queries.q1(self._read, self.user_id)
         if t is None:
             text = (
                 "No future time point in the horizon approves your"
@@ -210,7 +249,7 @@ class InsightEngine:
         )
 
     def minimal_features_set(self, plans: int = 1) -> Insight:
-        row = canned.q2_minimal_features_set(self.store, self.user_id)
+        row = self._queries.q2(self._read, self.user_id)
         if row is None:
             return Insight(
                 "q2", QUESTIONS["q2"], None, "No decision-altering candidate exists.",
@@ -234,13 +273,13 @@ class InsightEngine:
         )
 
     def dominant_feature(self, feature: str, plans: int = 1) -> Insight:
-        result = canned.q3_dominant_feature(self.store, self.user_id, feature)
-        covered = result["times"]
-        horizon = result["all_times"]
         feature_plans = tuple(
             self._plan_from_row(row)
-            for row in self._single_feature_rows(feature, covered)
+            for row in self._queries.q3(self._read, self.user_id, feature)
         )
+        covered = [plan.time for plan in feature_plans]
+        horizon = self._horizon()
+        result = q3_answer(covered, horizon)
         if result["dominant"]:
             text = (
                 f"Yes — modifying only '{feature}' can lead to APPROVAL at"
@@ -263,14 +302,8 @@ class InsightEngine:
             ),
         )
 
-    def _single_feature_rows(self, feature: str, times) -> list[dict[str, Any]]:
-        """Best single-feature (or zero-change) candidate per covered time."""
-        return canned.prepared(self.store).q3_plan_rows(
-            self.store.read, self.user_id, feature, times
-        )
-
     def minimal_overall_modification(self, plans: int = 1) -> Insight:
-        row = canned.q4_minimal_overall_modification(self.store, self.user_id)
+        row = self._queries.q4(self._read, self.user_id)
         if row is None:
             return Insight(
                 "q4", QUESTIONS["q4"], None, "No decision-altering candidate exists.",
@@ -287,7 +320,7 @@ class InsightEngine:
         )
 
     def maximal_confidence(self, plans: int = 1) -> Insight:
-        row = canned.q5_maximal_confidence(self.store, self.user_id)
+        row = self._queries.q5(self._read, self.user_id)
         if row is None:
             return Insight(
                 "q5", QUESTIONS["q5"], None, "No decision-altering candidate exists.",
@@ -326,18 +359,13 @@ class InsightEngine:
     def _series(
         self, aggregate: str, zero_when_empty: bool = False
     ) -> list[tuple[int, float | None]]:
-        rows = canned.prepared(self.store).series(
-            self.store.read, self.user_id, aggregate
-        )
+        rows = self._queries.series(self._read, self.user_id, aggregate)
         by_time = {int(r["time"]): float(r["v"]) for r in rows}
         default = 0.0 if zero_when_empty else None
-        return [
-            (t, by_time.get(t, default))
-            for t in self.store.times_for(self.user_id)
-        ]
+        return [(t, by_time.get(t, default)) for t in self._horizon()]
 
     def affordable_time(self, budget: float = 1.0, plans: int = 1) -> Insight:
-        row = canned.q7_affordable_time(self.store, self.user_id, budget)
+        row = self._queries.q7(self._read, self.user_id, budget)
         if row is None:
             return Insight(
                 "q7",
@@ -358,7 +386,7 @@ class InsightEngine:
         )
 
     def turning_point(self, alpha: float = 0.8, plans: int = 1) -> Insight:
-        t = canned.q6_turning_point(self.store, self.user_id, alpha)
+        t = self._queries.q6(self._read, self.user_id, alpha)
         if t is None:
             text = (
                 f"There is no time point after which confidence > {alpha:.2f}"

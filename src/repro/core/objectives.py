@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.constraints.evaluate import l0_gap, l0_gap_batch, l2_diff, l2_diff_batch
+from repro.constraints.evaluate import diff_gap_batch, l0_gap, l2_diff
 from repro.exceptions import CandidateSearchError
 
 __all__ = [
@@ -77,10 +77,9 @@ def measure_batch(
 ) -> BatchCandidateMetrics:
     """Vectorized :func:`measure` over an ``(n, d)`` candidate matrix,
     against one base row or an ``(n, d)`` matrix of per-row base rows."""
+    diff, gap = diff_gap_batch(X_prime, x_base, diff_scale)
     return BatchCandidateMetrics(
-        diff=l2_diff_batch(X_prime, x_base, diff_scale),
-        gap=l0_gap_batch(X_prime, x_base),
-        confidence=np.asarray(confidence, dtype=float).ravel(),
+        diff=diff, gap=gap, confidence=np.asarray(confidence, dtype=float).ravel()
     )
 
 

@@ -8,6 +8,7 @@ screen shows — per-feature actions ("decrease monthly_debt by $600
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +51,11 @@ class FeatureChange:
 
 @dataclass(frozen=True)
 class Plan:
-    """A complete reapplication plan derived from one candidate."""
+    """A complete reapplication plan derived from one candidate.
+
+    Its text is rendered on the first :meth:`describe` and kept: an
+    answer's text and its wire payload both carry it.
+    """
 
     time: int
     time_value: float
@@ -61,6 +66,10 @@ class Plan:
 
     def describe(self) -> str:
         """Multi-line verbal rendering for the insights screen."""
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         header = (
             f"At time point t={self.time} (≈ {self.time_value:.1f}),"
             f" expected confidence {self.confidence:.2f}"

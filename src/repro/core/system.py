@@ -727,8 +727,9 @@ class UserSession:
 
     @property
     def engine(self) -> InsightEngine:
-        """A fresh query engine: an engine keeps the temporal inputs it
-        has read, so none may outlive a re-ingest of this user."""
+        """A fresh query engine: an engine keeps the temporal inputs,
+        plans and plan sets it has read, so none may outlive a
+        re-ingest of this user."""
         return InsightEngine(self.system.store, self.user_id, self._time_values)
 
     # ------------------------------------------------------------ insights

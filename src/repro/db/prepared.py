@@ -33,7 +33,7 @@ from typing import Any, Callable
 from repro.db.backends import CLOCK_SQL
 from repro.exceptions import QueryError
 
-__all__ = ["PreparedQueries", "prepared_for", "row_to_dict"]
+__all__ = ["PreparedQueries", "prepared_for", "q3_answer", "row_to_dict"]
 
 #: ``diff = 0`` tolerance — diff is a float computed in a scaled space.
 _DIFF_EPS = 1e-9
@@ -49,6 +49,16 @@ Reader = Callable[..., list]
 def row_to_dict(row) -> dict[str, Any]:
     """Convert a sqlite3.Row (or mapping-like row) to a plain dict."""
     return {key: row[key] for key in row.keys()}
+
+
+def q3_answer(times: list[int], all_times: list[int]) -> dict[str, Any]:
+    """Q3's answer from its covered times and the user's horizon: the
+    feature is *dominant* when it covers every time point."""
+    return {
+        "times": times,
+        "all_times": all_times,
+        "dominant": bool(all_times) and set(times) == set(all_times),
+    }
 
 
 class PreparedQueries:
@@ -108,17 +118,15 @@ class PreparedQueries:
                 " WHERE user_id = ? AND diff <= ?"
                 " ORDER BY time, diff, p DESC LIMIT 1"
             ),
-            "times": (
-                "SELECT DISTINCT time FROM temporal_inputs"
-                " WHERE user_id = ? ORDER BY time"
-            ),
             "ledger": (
                 "SELECT time, model_fp FROM temporal_inputs"
                 " WHERE user_id = ? ORDER BY time"
             ),
-            "input": (
+            # every temporal input of one user: the rows give the plans
+            # their base vectors and Q3 its horizon
+            "inputs": (
                 "SELECT * FROM temporal_inputs"
-                " WHERE user_id = ? AND time = ?"
+                " WHERE user_id = ? ORDER BY time"
             ),
             # one cell's stored diverse plan set in selection order; rows
             # with plan_rank < 0 (legacy databases) carry no set
@@ -136,8 +144,8 @@ class PreparedQueries:
                 " FROM temporal_inputs WHERE user_id = ?"
             ),
         }
-        #: per-feature SQL (Q3 and its plan lookup) built on first use
-        self._feature_sql: dict[str, tuple[str, str]] = {}
+        #: per-feature Q3 SQL built on first use
+        self._feature_sql: dict[str, str] = {}
         #: per-aggregate series SQL built on first use
         self._series_sql: dict[str, str] = {}
 
@@ -149,38 +157,37 @@ class PreparedQueries:
                 f"unknown feature {feature!r}; schema has {list(self.features)}"
             )
 
-    def _feature_pair(self, feature: str) -> tuple[str, str]:
-        """(q3 SQL, single-feature plan-row SQL) for one feature —
-        identifier-validated once, compiled once."""
+    def _q3_sql(self, feature: str) -> str:
+        """Q3's SQL for one feature — identifier-validated once,
+        compiled once.
+
+        A candidate row *works with the feature alone* when it changes
+        nothing (``gap = 0``) or changes one feature and that feature
+        differs from the cell's temporal input.  Per time point the
+        statement keeps the first such row by ``(diff, id)``: the
+        cheapest, ties to the earliest written.  (``ROW_NUMBER()``
+        needs SQLite 3.25 or later.)
+        """
         self._require_feature(feature)
-        pair = self._feature_sql.get(feature)
-        if pair is None:
-            q3 = f"""
-                SELECT DISTINCT c.time AS t
-                FROM candidates c
-                WHERE c.user_id = :user AND EXISTS (
-                    SELECT 1
-                    FROM candidates cnd
+        sql = self._feature_sql.get(feature)
+        if sql is None:
+            sql = f"""
+                SELECT * FROM (
+                    SELECT c.*, ROW_NUMBER() OVER (
+                        PARTITION BY c.time ORDER BY c.diff, c.id
+                    ) AS pick
+                    FROM candidates c
                     INNER JOIN temporal_inputs ti
-                        ON ti.time = cnd.time AND ti.user_id = cnd.user_id
-                    WHERE cnd.user_id = :user
-                      AND cnd.time = c.time
-                      AND (cnd.gap = 0
-                           OR (cnd.gap = 1 AND cnd.{feature} != ti.{feature}))
+                        ON ti.user_id = c.user_id AND ti.time = c.time
+                    WHERE c.user_id = ?
+                      AND (c.gap = 0
+                           OR (c.gap = 1 AND c.{feature} != ti.{feature}))
                 )
-                ORDER BY t
+                WHERE pick = 1
+                ORDER BY time
                 """
-            plan = f"""
-                SELECT c.* FROM candidates c
-                INNER JOIN temporal_inputs ti
-                    ON ti.user_id = c.user_id AND ti.time = c.time
-                WHERE c.user_id = ? AND c.time = ?
-                  AND (c.gap = 0 OR (c.gap = 1 AND c.{feature} != ti.{feature}))
-                ORDER BY c.diff LIMIT 1
-                """
-            pair = (q3, plan)
-            self._feature_sql[feature] = pair
-        return pair
+            self._feature_sql[feature] = sql
+        return sql
 
     # --------------------------------------------------------- questions
 
@@ -193,30 +200,12 @@ class PreparedQueries:
         rows = read(self._sql["q2"], (user_id,))
         return row_to_dict(rows[0]) if rows else None
 
-    def q3(
-        self, read: Reader, user_id: str, feature: str, all_times
-    ) -> dict[str, Any]:
-        sql, _ = self._feature_pair(feature)
-        rows = read(sql, {"user": user_id})
-        times = [int(r["t"]) for r in rows]
-        all_times = list(all_times)
-        return {
-            "times": times,
-            "all_times": all_times,
-            "dominant": bool(all_times) and set(times) == set(all_times),
-        }
-
-    def q3_plan_rows(
-        self, read: Reader, user_id: str, feature: str, times
-    ) -> list[dict[str, Any]]:
-        """Best single-feature (or zero-change) candidate per covered time."""
-        _, sql = self._feature_pair(feature)
-        rows = []
-        for t in times:
-            got = read(sql, (user_id, int(t)))
-            if got:
-                rows.append(row_to_dict(got[0]))
-        return rows
+    def q3(self, read: Reader, user_id: str, feature: str) -> list:
+        """Q3 in one statement over all of the user's time points: the
+        best single-feature (or zero-change) row of each time point the
+        feature covers, in time order.  The covered times are the rows'
+        times (:func:`q3_answer` turns them into the answer)."""
+        return read(self._q3_sql(feature), (user_id,))
 
     def q4(self, read: Reader, user_id: str) -> dict[str, Any] | None:
         rows = read(self._sql["q4"], (user_id,))
@@ -241,9 +230,7 @@ class PreparedQueries:
         rows = read(self._sql["q7"], (user_id, float(budget)))
         return row_to_dict(rows[0]) if rows else None
 
-    def plan_set(
-        self, read: Reader, user_id: str, time: int, k: int
-    ) -> list[dict[str, Any]]:
+    def plan_set(self, read: Reader, user_id: str, time: int, k: int) -> list:
         """The top-``k`` prefix of one cell's stored diverse plan set.
 
         Rows come back in greedy selection order (``plan_rank``).  Cells
@@ -252,8 +239,7 @@ class PreparedQueries:
         """
         if k < 1:
             raise QueryError("plan count must be >= 1")
-        rows = read(self._sql["plan_set"], (user_id, int(time), int(k)))
-        return [row_to_dict(r) for r in rows]
+        return read(self._sql["plan_set"], (user_id, int(time), int(k)))
 
     # ----------------------------------------------------------- helpers
 
@@ -275,22 +261,16 @@ class PreparedQueries:
             self._series_sql[aggregate] = sql
         return read(sql, (user_id,))
 
-    def times_for(self, read: Reader, user_id: str) -> list[int]:
-        """Sorted distinct time points present in temporal_inputs."""
-        return [int(r["time"]) for r in read(self._sql["times"], (user_id,))]
-
     def cell_fingerprints(self, read: Reader, user_id: str) -> dict[int, str]:
         """``{time: model_fp}`` ledger slice for one user — the exact
-        cache-invalidation signal of the serving tier."""
-        return {
-            int(r["time"]): str(r["model_fp"])
-            for r in read(self._sql["ledger"], (user_id,))
-        }
+        cache-invalidation signal of the serving tier.  Built straight
+        from the ``(time, model_fp)`` rows, so it iterates in time
+        order."""
+        return dict(read(self._sql["ledger"], (user_id,)))
 
-    def temporal_input_row(self, read: Reader, user_id: str, time: int):
-        """The raw temporal-input row of one cell, or ``None``."""
-        rows = read(self._sql["input"], (user_id, int(time)))
-        return rows[0] if rows else None
+    def inputs(self, read: Reader, user_id: str) -> list:
+        """Every temporal-input row of one user, in time order."""
+        return read(self._sql["inputs"], (user_id,))
 
     def oldest_age(self, read: Reader, user_id: str) -> float | None:
         """Age in seconds of the user's oldest ``refreshed_at`` stamp,

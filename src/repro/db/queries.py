@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.db.prepared import PreparedQueries, prepared_for, row_to_dict
+from repro.db.prepared import PreparedQueries, prepared_for, q3_answer, row_to_dict
 from repro.db.store import CandidateStore
 
 __all__ = [
@@ -95,9 +95,8 @@ def q3_dominant_feature(
     *dominant* when those times cover every time point in the user's
     horizon.  Returns ``{'times': [...], 'all_times': [...], 'dominant': bool}``.
     """
-    return prepared(store).q3(
-        store.read, user_id, feature, store.times_for(user_id)
-    )
+    rows = prepared(store).q3(store.read, user_id, feature)
+    return q3_answer([int(row["time"]) for row in rows], store.times_for(user_id))
 
 
 def q4_minimal_overall_modification(

@@ -9,7 +9,8 @@ refresh epoch bumps ``model_fp`` only for the cells it rewrote, and any
 entry rendered under an older fingerprint simply fails validation on
 its next lookup.  That validation read is one indexed primary-key scan
 (``temporal_inputs`` is ``PRIMARY KEY (user_id, time)``) versus the
-~15–25 queries of a full bundle render — the serving tier's whole
+9 statements of a full bundle render (10 with a budget, more with a
+plan set; see :mod:`repro.serve.server`) — the serving tier's whole
 speedup lives in that ratio.  Nothing evicts entries eagerly when a
 refresh lands: every hit re-validates, so a refreshed user's first
 request is a validate-then-miss.
@@ -74,14 +75,15 @@ class InsightCache:
     def fingerprint_vector(ledger: dict[int, str]) -> tuple:
         """Canonical, hashable form of a ``{time: model_fp}`` ledger
         slice — the freshness token entries are stored and validated
-        under."""
+        under.  For a slice that already iterates in time order (the
+        ledger read's) this is ``tuple(ledger.items())``."""
         return tuple(sorted(ledger.items()))
 
     def get(self, key: CacheKey, current_fps: tuple) -> Any | None:
         """The cached payload, iff it was rendered under ``current_fps``.
 
         ``current_fps`` must be the *caller's fresh read* of the ledger
-        (via :meth:`fingerprint_vector`) — the comparison against it is
+        (in :meth:`fingerprint_vector` form) — the comparison against it is
         the exact-invalidation step.  A mismatch drops the entry and
         reads as a miss.
         """

@@ -13,11 +13,11 @@ a shard shares that shard's one replica.
 :class:`ReplicaStoreView` is the duck-typed read-only store facade a
 checked-out replica is wrapped in: it exposes exactly the surface the
 canned queries and :class:`~repro.core.insights.InsightEngine` consume
-(``read`` / ``schema`` / ``times_for`` / ``cell_fingerprints`` /
-``temporal_input`` / ``row_to_vector``), so the
-serving tier runs the *same* query and rendering code as the direct
-store path — answer identity is by construction, not by parallel
-implementation.
+(``read`` / ``schema`` / ``cell_fingerprints`` / ``row_to_vector``),
+so the serving tier runs the *same* query and rendering code as the
+direct store path — answer identity is by construction, not by
+parallel implementation.  The pool builds the feature-name tuple and
+looks up the compiled query set once; every view shares them.
 
 Topology changes are survived per checkout: acquiring a replica
 re-validates it against the live store (backend identity catches an
@@ -38,7 +38,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.db.prepared import PreparedQueries, prepared_for
+from repro.db.prepared import prepared_for
 from repro.db.store import CandidateStore
 from repro.exceptions import StorageError
 
@@ -56,9 +56,11 @@ class ReplicaStoreView:
     live in exactly one shard.
     """
 
-    def __init__(self, conn: sqlite3.Connection, schema):
+    def __init__(self, conn: sqlite3.Connection, schema, names, queries):
         self._conn = conn
         self.schema = schema
+        self._names = names
+        self._queries = queries
 
     def read(self, query: str, params=()) -> list[sqlite3.Row]:
         try:
@@ -66,25 +68,12 @@ class ReplicaStoreView:
         except sqlite3.Error as exc:
             raise StorageError(f"SQL error: {exc}") from exc
 
-    def times_for(self, user_id: str) -> list[int]:
-        return self._prepared().times_for(self.read, user_id)
-
     def cell_fingerprints(self, user_id: str) -> dict[int, str]:
-        return self._prepared().cell_fingerprints(self.read, user_id)
-
-    def temporal_input(self, user_id: str, time: int) -> np.ndarray:
-        row = self._prepared().temporal_input_row(self.read, user_id, time)
-        if row is None:
-            raise StorageError(
-                f"no temporal input for user {user_id!r} at time {time}"
-            )
-        return self.row_to_vector(row)
+        """The user's ``{time: model_fp}`` ledger, in time order."""
+        return self._queries.cell_fingerprints(self.read, user_id)
 
     def row_to_vector(self, row: sqlite3.Row) -> np.ndarray:
-        return np.array([row[name] for name in self.schema.names], dtype=float)
-
-    def _prepared(self) -> PreparedQueries:
-        return prepared_for(self.schema.names)
+        return np.array([row[name] for name in self._names], dtype=float)
 
 
 class _Replica:
@@ -114,6 +103,9 @@ class ReplicaPool:
 
     def __init__(self, store: CandidateStore):
         self.store = store
+        #: every view's feature names and compiled query set
+        self._names = tuple(store.schema.names)
+        self._queries = prepared_for(self._names)
         #: serialises fallback reads through the store's own router
         #: connection when the backend has no openable replicas
         self._router_lock = threading.Lock()
@@ -175,10 +167,14 @@ class ReplicaPool:
         store = self.store
         replica = self._replica_for(store.backend.schema_for(user_id))
         if replica is not None:
-            yield ReplicaStoreView(replica.conn, store.schema)
+            yield ReplicaStoreView(
+                replica.conn, store.schema, self._names, self._queries
+            )
             return
         with self._router_lock:
-            yield ReplicaStoreView(store._conn, store.schema)
+            yield ReplicaStoreView(
+                store._conn, store.schema, self._names, self._queries
+            )
 
     # ------------------------------------------------------------- lifecycle
 

@@ -61,9 +61,16 @@ loop converges immediately once the writer's commit lands — and a
 response's ``ledger`` field is therefore always the exact model state
 its ``insights`` were computed under, refresh in flight or not.
 
-Cache hits replace the ~15–25 queries of a bundle render with a single
-indexed primary-key ledger read plus a dict lookup; replica
-connections keep even cache *misses* off the writers' connections.
+A bundle render runs 9 SQL statements: the two ledger reads of the
+snapshot check, one read of all of the user's temporal inputs and one
+statement per question Q1–Q6 (Q3's covered times and plan rows
+included).  A budget adds Q7 (10), and ``plans=k`` one plan-set read
+per distinct answering cell; ``/q/<qid>`` is the two ledger reads and
+its question, plus the inputs read when it builds a plan or needs the
+horizon (Q3).  Cache hits
+replace all of that with a single indexed primary-key ledger read plus
+a dict lookup; replica connections keep even cache *misses* off the
+writers' connections.
 """
 
 from __future__ import annotations
@@ -616,7 +623,9 @@ class InsightServer:
                 ledger = view.cell_fingerprints(user)
                 if not ledger:
                     raise ServeError(404, f"unknown user {user!r}")
-                fps = InsightCache.fingerprint_vector(ledger)
+                # the ledger iterates in time order, so its items are
+                # already the fingerprint vector
+                fps = tuple(ledger.items())
                 if use_cache:
                     hit = self.cache.get(key, fps)
                     if hit is not None:

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.constraints import ConstraintsFunction, ScopedConstraint, l0_gap, l2_diff
 from repro.constraints import parse_constraint
+from repro.constraints.evaluate import diff_gap_batch, l0_gap_batch, l2_diff_batch
 from repro.exceptions import ConstraintError
 
 vectors = arrays(
@@ -55,6 +56,31 @@ class TestDistances:
     @given(vectors)
     def test_gap_bounded_by_dimension(self, x):
         assert 0 <= l0_gap(x, np.zeros_like(x)) <= x.size
+
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_diff_gap_batch_is_both_batches(self, n, per_row, scaled):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(n, 5)) * 10.0 ** rng.integers(-6, 6, size=(n, 5))
+        base = X + rng.normal(size=X.shape) * (rng.random(X.shape) < 0.4)
+        base[::3, 1] = X[::3, 1] + 1e-12  # a change within the gap tolerance
+        base = base if per_row else rng.normal(size=5)
+        scale = rng.random(5) + 0.5 if scaled else None
+        diff, gap = diff_gap_batch(X, base, scale)
+        want_diff = l2_diff_batch(X, base, scale)
+        want_gap = l0_gap_batch(X, base)
+        assert diff.dtype == want_diff.dtype and diff.tobytes() == want_diff.tobytes()
+        assert gap.dtype == want_gap.dtype and gap.tobytes() == want_gap.tobytes()
+
+    def test_diff_gap_batch_validates_like_both(self):
+        X = np.zeros((3, 2))
+        with pytest.raises(ConstraintError, match="shape mismatch in diff"):
+            diff_gap_batch(X, np.zeros(3))
+        with pytest.raises(ConstraintError, match="scale entries"):
+            diff_gap_batch(X, np.zeros(2), scale=[1.0, 0.0])
+        with pytest.raises(ConstraintError, match="scale shape"):
+            diff_gap_batch(X, np.zeros(2), scale=[1.0])
 
 
 class TestConstraintsFunction(object):

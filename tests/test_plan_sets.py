@@ -289,16 +289,19 @@ class TestInsightAlternatives:
 
     def test_bundle_reads_each_temporal_input_once(self, populated, monkeypatch):
         """A ``plans=3`` bundle builds several plans per time point from
-        one engine; each time point's input is read from the store once."""
+        one engine; each time point's input is read from the store once
+        (the engine reads all of them in one statement)."""
         store = populated.store
-        real = store.temporal_input
+        real = store.read
         reads = []
 
-        def counting(user_id, time):
-            reads.append(time)
-            return real(user_id, time)
+        def counting(query, params=()):
+            rows = real(query, params)
+            if query.startswith("SELECT * FROM temporal_inputs"):
+                reads.extend(int(row["time"]) for row in rows)
+            return rows
 
-        monkeypatch.setattr(store, "temporal_input", counting)
+        monkeypatch.setattr(store, "read", counting)
         engine = InsightEngine(store, "pu0", populated.time_values)
         feature = populated.schema.names[int(populated.schema.mutable_indices()[0])]
         for qid, params in (

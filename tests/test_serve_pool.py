@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import Candidate, CandidateMetrics
-from repro.db import CandidateStore
+from repro.db import CandidateStore, prepared_for
 from repro.exceptions import StorageError
 from repro.serve import ReplicaPool, ReplicaStoreView
 
@@ -55,11 +55,13 @@ def sharded(schema, john, tmp_path):
 class TestReplicaStoreView:
     def test_reads_match_store(self, sharded):
         pool = ReplicaPool(sharded)
+        queries = prepared_for(sharded.schema.names)
         with pool.view("u1") as view:
             assert view.cell_fingerprints("u1") == sharded.cell_fingerprints("u1")
-            assert view.times_for("u1") == sharded.times_for("u1")
+            inputs = queries.inputs(view.read, "u1")
+            assert [row["time"] for row in inputs] == sharded.times_for("u1")
             np.testing.assert_array_equal(
-                view.temporal_input("u1", 0), sharded.temporal_input("u1", 0)
+                view.row_to_vector(inputs[0]), sharded.temporal_input("u1", 0)
             )
         pool.close()
 

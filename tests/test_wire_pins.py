@@ -5,10 +5,19 @@ pins what the serving tier sends.  The served store is John's running
 example as ``test_john_quickstart`` builds it, but file-backed and
 sharded, so a cold read renders over John's shard replica and the warm
 read of the same target is a cache hit validated over that same
-replica.  Both reads of every target must hash to the pinned value.  Q3 and Q6 are the canned questions that bind named parameters.
+replica.  Both reads of every target must hash to the pinned value.
+Q3 interpolates its feature column and Q6 binds named parameters.
 
-``/v1/orchestrator`` is not pinned: its body carries store-clock
-fields.
+The targets cover every request shape a render takes: the default
+bundle, a budget bundle (a budget of 2.0 reaches a Q7 answer for John;
+0.3–1.0 reach none) and each with a plan set; Q2, Q5 and Q7 with a
+plan set; Q3 for features that cover one time point each
+(``monthly_debt`` t=4, ``loan_amount`` t=3) and for one that covers
+none (``household``).
+
+``/v1/orchestrator`` carries store-clock fields (``now`` and the
+freshness ages); it is pinned with those fields set to ``null`` before
+hashing.
 
 The bodies carry float ``repr``s, so the hashes are platform data: they
 were captured with Python 3.11.7 and NumPy 2.4.6.  To regenerate, serve
@@ -40,7 +49,36 @@ WIRE_SHA256 = {
     "/v1/q/q6?user=john&alpha=0.4321": (
         "d1bffc2b003d839cd6362c35a716f183661dc44b80829cddeac22d48d48b036e"
     ),
+    "/v1/insights?user=john&budget=2.0": (
+        "895d9c8d36f6dee57c1fde788240319303cc78d739db1391947bccbd986bc0b3"
+    ),
+    "/v1/insights?user=john&budget=2.0&plans=3": (
+        "9abd04c02a3981ad99f5e8e1778738dc581e927464992e5d2e6c8a53082df950"
+    ),
+    "/v1/q/q2?user=john&plans=3": (
+        "2e6b28a770c117c7649ac36ad7b6e7df8367f22424592e98beccc654e4965ba0"
+    ),
+    "/v1/q/q5?user=john&plans=3": (
+        "bf7b58b0edec4f19474144995ee02dd762b1ad1af0a28dc135cb7868a521411a"
+    ),
+    "/v1/q/q7?user=john&budget=2.0&plans=3": (
+        "416b802608cff20c477778b5dae4b9a22fa552cdfae940dd0e036c0ebe5932e5"
+    ),
+    "/v1/q/q3?user=john&feature=loan_amount": (
+        "48f0d53ac7c5e0aaea00cbc61718507fe9b2c2e1d82a46940734d24f60dfd2fc"
+    ),
+    "/v1/q/q3?user=john&feature=household": (
+        "b7a8edfe8bcb07ae58c9434a64fbfda60ca1b5d29897e4c3d6d20ac46b125c3d"
+    ),
 }
+
+#: ``/v1/orchestrator`` with its store-clock fields set to ``null``,
+#: re-serialised canonically (sorted keys, no whitespace)
+ORCHESTRATOR_MASKED_SHA256 = (
+    "7c5e3b9a5908063ae6517521f216e821a635a75179a896e933b60c62e4edff50"
+)
+ORCHESTRATOR_CLOCK_FIELDS = ("now",)
+FRESHNESS_CLOCK_FIELDS = ("now", "max_age", "mean_age", "weighted_mean_age")
 
 
 def http_get(port, path):
@@ -89,3 +127,21 @@ def test_cold_and_warm_bodies(served, path):
     # John's shard
     stats = json.loads(http_get(server.port, "/v1/stats")[1])
     assert stats["pool"]["opens"] == 1
+
+
+def masked_orchestrator(body):
+    payload = json.loads(body)
+    for name in ORCHESTRATOR_CLOCK_FIELDS:
+        payload[name] = None
+    for name in FRESHNESS_CLOCK_FIELDS:
+        payload["freshness"][name] = None
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+
+
+def test_orchestrator_body_with_clock_fields_masked(served):
+    _, server = served
+    for read in ("first", "second"):
+        status, body = http_get(server.port, "/v1/orchestrator")
+        assert status == 200, (read, body)
+        digest = hashlib.sha256(masked_orchestrator(body)).hexdigest()
+        assert digest == ORCHESTRATOR_MASKED_SHA256, read
