@@ -28,28 +28,136 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import tempfile
 import time
 from pathlib import Path
 
-from repro.core import DriftGate, RefreshOrchestrator
-from repro.data import CsvFeed, lending_schema, make_lending_dataset
-from repro.exceptions import LeadershipLost
+import numpy as np
 
-from bench_orchestrator import (
-    N_SHARDS,
-    OrchestratorKilled,
-    build_state,
-    digest_of,
-    make_batch,
-    make_users,
-    open_state,
-    replicate,
-    run_reference,
-    write_feed,
+from repro.constraints import lending_domain_constraints
+from repro.core import (
+    AdminConfig,
+    DriftGate,
+    JustInTime,
+    RefreshOrchestrator,
+    load_system,
+    save_system,
 )
+from repro.data import (
+    CsvFeed,
+    LendingGenerator,
+    TemporalDataset,
+    john_profile,
+    lending_schema,
+    make_lending_dataset,
+    save_csv,
+)
+from repro.db.store import CandidateStore
+from repro.exceptions import LeadershipLost
+from repro.temporal import PerPeriodStrategy, lending_update_function
 
+N_SHARDS = 4
 DRIFT_T = 1
+
+
+class OrchestratorKilled(RuntimeError):
+    """Raised by the fault hook to simulate the process dying."""
+
+
+def make_users(schema, n_users: int):
+    rng = np.random.default_rng(7)
+    base = schema.vector(john_profile())
+    return [
+        (
+            f"user-{i:03d}",
+            schema.clip(base * rng.uniform(0.75, 1.25, size=base.size)),
+            ["annual_income <= base_annual_income * 1.3"],
+        )
+        for i in range(n_users)
+    ]
+
+
+def make_batch(schema, history, n, *, seed, scale=1.0, year_offset=1.5):
+    start = float(np.floor(history.span[0]))
+    generator = LendingGenerator(random_state=seed)
+    X = generator.sample_profiles(n) * scale
+    years = np.full(n, start + year_offset)
+    return TemporalDataset(X, generator.label(X, years), years, schema)
+
+
+def build_state(workdir: Path, schema, history, users, T: int) -> None:
+    system = JustInTime(
+        schema,
+        lending_update_function(schema),
+        AdminConfig(
+            T=T, strategy=PerPeriodStrategy(), k=6, max_iter=10, random_state=0
+        ),
+        domain_constraints=lending_domain_constraints(schema),
+        store_path=workdir / "cands.db",
+        store_backend="sharded",
+        n_shards=N_SHARDS,
+    )
+    system.fit(history)
+    system.create_sessions(users)
+    save_system(system, workdir / "system.pkl")
+    system.store.close()
+
+
+def replicate(state_dir: Path, into: Path) -> None:
+    into.mkdir()
+    for item in state_dir.iterdir():
+        shutil.copy(item, into / item.name)
+
+
+def open_state(workdir: Path):
+    return load_system(
+        workdir / "system.pkl",
+        store_path=workdir / "cands.db",
+        store_backend="sharded",
+    )
+
+
+def digest_of(workdir: Path, schema) -> str:
+    with CandidateStore(
+        schema, workdir / "cands.db", backend="sharded"
+    ) as store:
+        return store.contents_digest()
+
+
+def write_feed(workdir: Path, schema, batches) -> tuple[Path, list]:
+    """One feed CSV holding every batch, plus the CSV-parsed batches the
+    reference refresh must consume (save_csv rounds to 6 significant
+    digits, and identity is judged on what was actually ingested)."""
+    feed_csv = workdir / "feed.csv"
+    scratch = workdir / "scratch.csv"
+    parsed = []
+    reader = CsvFeed(feed_csv, schema)
+    for batch in batches:
+        save_csv(batch, scratch)
+        text = scratch.read_text()
+        if feed_csv.exists():
+            text = text.split("\n", 1)[1]
+        with feed_csv.open("a", newline="") as handle:
+            handle.write(text)
+        parsed.append(reader.poll())
+    scratch.unlink()
+    return feed_csv, parsed
+
+
+def run_reference(tmp, schema, parsed_batches) -> tuple[Path, float]:
+    """Single-process one-shot refresh over the merged parsed stream."""
+    workdir = tmp / "reference"
+    replicate(tmp / "state", workdir)
+    system = open_state(workdir)
+    system.resume_sessions()
+    merged = TemporalDataset.concat(parsed_batches)
+    start = time.perf_counter()
+    system.refresh(merged, warm_start=False)
+    elapsed = time.perf_counter() - start
+    save_system(system, workdir / "system.pkl")
+    system.store.close()
+    return workdir, elapsed
 
 
 def make_ha_orchestrator(

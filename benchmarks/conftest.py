@@ -1,6 +1,12 @@
 """Shared fixtures for the benchmark harness.
 
-Each bench regenerates one artifact from the paper (see DESIGN.md §4).
+Each ``bench_*`` function regenerates one artifact from the paper: the
+figures (``bench_fig1``–``bench_fig3``), John's running example and the
+ablations (system inventory: the README's Architecture section).  pytest
+collects them only when told to::
+
+    PYTHONPATH=src python -m pytest benchmarks -q -o python_files='bench_*.py' -o python_functions='bench_*' --benchmark-disable
+
 Expensive training is session-scoped; the benchmarked callables operate on
 prepared state.
 """

@@ -29,8 +29,11 @@ Quickstart::
     for insight in session.all_insights():
         print(insight.text)
 
-See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
-reproduced artifacts.
+See the README's Architecture section for the full system inventory.
+The paper's figures and ablations are reproduced by the ``bench_*``
+functions in ``benchmarks/``::
+
+    PYTHONPATH=src python -m pytest benchmarks -q -o python_files='bench_*.py' -o python_functions='bench_*' --benchmark-disable
 """
 
 __version__ = "1.0.0"

@@ -37,7 +37,7 @@ orchestrator resumable **without re-ingesting or double-computing**:
 Per-cell recomputes are deterministic, so however the loop is cut, the
 final store contents are byte-identical to a one-shot ``refresh()``
 over the merged stream (``CandidateStore.contents_digest`` — asserted
-in the tests, the CI smoke and ``benchmarks/bench_orchestrator.py``).
+in ``tests/test_orchestrator.py``).
 
 **Multi-orchestrator HA** (``ha=True``): N orchestrator processes
 campaign over the store's ``leader_lease`` — a singleton lease

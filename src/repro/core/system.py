@@ -81,8 +81,7 @@ class AdminConfig:
     #: (clipped + revalidated under the new model).  A robustness
     #: feature, not a speed one: still-valid old candidates can never be
     #: lost to an unlucky fresh search, at ~1.5× the refresh wall-clock
-    #: (the wider initial beam explores more; see
-    #: benchmarks/bench_incremental_refresh.py).  Disable for the
+    #: (the wider initial beam explores more).  Disable for the
     #: bit-identical-to-cold-recompute reference path.
     warm_start: bool = True
 

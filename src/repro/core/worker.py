@@ -24,8 +24,8 @@ in-process, a worker pool runs it in N processes:
 Every cell's recompute is deterministic (per-t seeds, spec-rehydrated
 constraints), so the final store contents are **byte-identical** to an
 in-process ``refresh()`` no matter how cells were distributed —
-``CandidateStore.contents_digest`` asserts exactly that in the tests,
-the CI smoke and ``benchmarks/bench_streaming_refresh.py``.
+``CandidateStore.contents_digest`` asserts exactly that in
+``tests/test_worker_pool.py``.
 """
 
 from __future__ import annotations

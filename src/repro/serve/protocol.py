@@ -3,8 +3,10 @@
 One canonical JSON serialization shared by the HTTP API and the CLI's
 ``--json`` output mode, so "the same answer" is checkable as *byte*
 equality: ``dumps`` sorts keys and strips whitespace, and the payload
-builders normalise every value to plain JSON types deterministically
-(sqlite3.Row → dict, numpy scalars → float/int, tuples → lists).
+builders emit plain JSON types only (plan fields as float/int, tuples as
+lists).  Answers arrive as plain values and pass through unconverted:
+Q1 and Q6 an int or ``None``, the row questions a dict of sqlite column
+values, Q3 a dict of int lists and a bool.
 
 The bundle payload carries the user's fingerprint ledger alongside the
 insights — a client (or test) can therefore verify exactly which model
@@ -42,19 +44,6 @@ def dumps(payload: Any) -> str:
     """Canonical JSON: sorted keys, no whitespace — byte-stable for
     equal payloads regardless of construction order."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _scalar(value: Any) -> Any:
-    """Normalise numpy scalars / sqlite values to plain JSON types."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return value
-    # numpy integer/floating expose item(); anything else goes to str
-    item = getattr(value, "item", None)
-    if callable(item):
-        return item()
-    return str(value)
 
 
 def plan_payload(plan: Plan) -> dict[str, Any]:
@@ -109,11 +98,8 @@ def insight_payload(insight: Insight) -> dict[str, Any]:
     """
     answer = insight.answer
     if isinstance(answer, dict):
-        answer = {key: _scalar(value) if not isinstance(value, list) else
-                  [_scalar(v) for v in value] for key, value in answer.items()
+        answer = {key: value for key, value in answer.items()
                   if key not in _ROW_METADATA_COLUMNS}
-    else:
-        answer = _scalar(answer)
     payload = {
         "question": insight.question,
         "title": insight.title,

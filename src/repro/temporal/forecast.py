@@ -420,10 +420,10 @@ class PerPeriodStrategy(ForecastStrategy):
     The simplest forecaster with genuinely per-time-point models — and,
     more importantly, a *drift-locality harness*: new samples with
     timestamps inside one window change exactly one model, so it pins
-    "one of T time points drifts" scenarios in refresh tests and
-    ``benchmarks/bench_incremental_refresh.py``.  Not registered under a
-    name (it is a baseline/harness, not a recommended production
-    forecaster); construct it explicitly.
+    "one of T time points drifts" scenarios in refresh tests
+    (``tests/test_refresh.py``).  Not registered under a name (it is a
+    baseline/harness, not a recommended production forecaster);
+    construct it explicitly.
     """
 
     def __init__(self, window: float = 1.0):

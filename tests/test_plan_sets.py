@@ -6,13 +6,16 @@ backend, ``contents_digest`` folds plan-set metadata in deterministically
 formula), the fused engine's batched selection produces the same digest
 as per-cell generation, the insight layer's ``plans=k``
 alternatives view, the serving tier's ``?plans=k`` (including the
-default's byte-identity and cache revalidation), and ``query --plans``.
+default's byte-identity, cache revalidation and torn-free reads during a
+live ``refresh()``), and ``query --plans``.
 """
 
 import hashlib
 import http.client
 import io
+import itertools
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -25,7 +28,12 @@ from repro.core import (
     JustInTime,
 )
 from repro.core.insights import InsightEngine
-from repro.data import john_profile, make_lending_dataset
+from repro.data import (
+    LendingGenerator,
+    TemporalDataset,
+    john_profile,
+    make_lending_dataset,
+)
 from repro.db import CandidateStore
 from repro.exceptions import QueryError
 from repro.serve import InsightServer, bundle_payload, dumps
@@ -324,6 +332,20 @@ class TestInsightAlternatives:
             assert insight.alternatives == ()
 
 
+def direct_bundle(system, user, plans=1):
+    """The ``/v1/insights`` body for ``user`` rendered directly, with the
+    server's default Q3 feature and Q6 alpha."""
+    store = system.store
+    feature = store.schema.names[int(store.schema.mutable_indices()[0])]
+    params = {"q3": {"feature": feature}, "q6": {"alpha": 0.8}}
+    engine = InsightEngine(store, user, system.time_values)
+    insights = {
+        qid: engine.ask(qid, plans=plans, **params.get(qid, {}))
+        for qid in ("q1", "q2", "q3", "q4", "q5", "q6")
+    }
+    return dumps(bundle_payload(user, insights, store.cell_fingerprints(user)))
+
+
 def http_get(port, path):
     conn = http.client.HTTPConnection("127.0.0.1", port)
     try:
@@ -353,17 +375,7 @@ class TestServingPlans:
         assert default_body == plans1_body
         assert "alternatives" not in default_body
         # and byte-identical to the direct render path
-        store = populated.store
-        feature = store.schema.names[int(store.schema.mutable_indices()[0])]
-        engine = InsightEngine(store, "pu0", populated.time_values)
-        params = {"q3": {"feature": feature}, "q6": {"alpha": 0.8}}
-        insights = {
-            qid: engine.ask(qid, **params.get(qid, {}))
-            for qid in ("q1", "q2", "q3", "q4", "q5", "q6")
-        }
-        assert default_body == dumps(
-            bundle_payload("pu0", insights, store.cell_fingerprints("pu0"))
-        )
+        assert default_body == direct_bundle(populated, "pu0")
 
     def test_plans_k_bundle_has_alternatives(self, served):
         status, body = http_get(served.port, "/v1/insights?user=pu0&plans=3")
@@ -430,6 +442,96 @@ class TestServingPlans:
         assert now["ledger"] != was["ledger"]
         was.pop("ledger"), now.pop("ledger")
         assert now == was  # candidates unchanged → same answer bytes
+
+
+class TestPlansUnderLiveRefresh:
+    def test_served_plans_3_torn_free_during_refresh(
+        self, schema, history, tmp_path
+    ):
+        """Every served ``plans=3`` bundle equals the direct render
+        before a real ``refresh()``, and keep-alive readers hammering
+        those URLs while it runs see only each user's pre- or
+        post-refresh body; a request sent after it returned sees the
+        post-refresh one."""
+        system = fitted_system(schema, history, tmp_path / "live.db", "sharded")
+        users_spec = make_users(schema, n=4)
+        system.create_sessions(users_spec)
+        users = [user for user, _ in users_spec]
+        paths = {user: f"/v1/insights?user={user}&plans=3" for user in users}
+
+        start = float(np.floor(history.span[0]))
+        generator = LendingGenerator(random_state=99)
+        X = generator.sample_profiles(40)
+        years = np.full(40, start + 1.5)
+        drift = TemporalDataset(X, generator.label(X, years), years, schema)
+
+        n_readers = 3
+        first_body = [threading.Event() for _ in range(n_readers)]
+        refreshed = threading.Event()
+        bodies, errors = [], []
+
+        def reader(index):
+            conn = http.client.HTTPConnection("127.0.0.1", server.port)
+            try:
+                for n in itertools.count(index):
+                    late = refreshed.is_set()
+                    user = users[n % len(users)]
+                    conn.request("GET", paths[user])
+                    resp = conn.getresponse()
+                    status, body = resp.status, resp.read().decode()
+                    if status != 200:
+                        errors.append(f"HTTP {status}: {body[:200]}")
+                        return
+                    bodies.append((user, body, late))
+                    first_body[index].set()
+                    if late:
+                        return
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(repr(exc))
+            finally:
+                first_body[index].set()
+                conn.close()
+
+        server = InsightServer(system.store, system.time_values)
+        server.start_background()
+        try:
+            before = {user: direct_bundle(system, user, 3) for user in users}
+            assert any('"alternatives"' in body for body in before.values())
+            for user in users:
+                assert http_get(server.port, paths[user]) == (200, before[user])
+            threads = [
+                threading.Thread(target=reader, args=(i,))
+                for i in range(n_readers)
+            ]
+            for thread in threads:
+                thread.start()
+            for event in first_body:
+                assert event.wait(timeout=60)
+            system.refresh(drift, warm_start=False)
+            refreshed.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            after = {user: direct_bundle(system, user, 3) for user in users}
+        finally:
+            server.stop_background()
+            system.store.close()
+
+        assert not errors, errors[:3]
+        assert any(before[user] != after[user] for user in users)
+
+        def committed(user, late):
+            return (after[user],) if late else (before[user], after[user])
+
+        torn = [
+            user for user, body, late in bodies
+            if body not in committed(user, late)
+        ]
+        assert not torn, (
+            f"{len(torn)}/{len(bodies)} plans=3 bodies matched no committed"
+            " render (pre or post while the refresh ran, post after it)"
+        )
+        assert sum(late for _, _, late in bodies) == n_readers
 
 
 class TestQueryPlansCLI:

@@ -287,7 +287,8 @@ class TestWorkerPool:
     def test_two_process_pool_matches_inline_refresh(
         self, schema, history, drift_data, tmp_path, backend
     ):
-        """The acceptance invariant (also CI's worker-pool smoke)."""
+        """The acceptance invariant: a 2-process drain leaves the store
+        byte-identical to an in-process refresh."""
         inline = build_populated(
             schema, history, tmp_path / "a.db", backend
         )
